@@ -44,7 +44,7 @@ class FlowTooShort(FlowmarkError):
 
 
 class SearchSpaceTooLarge(FlowmarkError):
-    """Exhaustive offset enumeration would exceed the configured cap."""
+    """Offset enumeration or the window grid would exceed its cap."""
 
 
 class BadDelta(FlowmarkError):

@@ -35,19 +35,21 @@ def _canonical_timestamps(timestamps: Iterable[float]) -> np.ndarray:
     above the earlier one, so packet identity is preserved and the result is
     strictly increasing.
     """
-    arr = np.asarray(list(timestamps), dtype=float)
+    # Always a copy: Flow freezes the result, never the caller's array.
+    if isinstance(timestamps, np.ndarray):
+        arr = np.array(timestamps, dtype=float)
+    else:
+        arr = np.array(list(timestamps), dtype=float)
     if arr.ndim != 1:
         raise ValueError("timestamps must be a one-dimensional sequence")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("timestamps must be finite")
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
+    if (arr[1:] < arr[:-1]).any():
         arr = arr[np.argsort(arr, kind="stable")]
-    if arr.size > 1 and np.any(np.diff(arr) <= 0):
-        out = arr.copy()
-        for i in range(1, out.size):
-            if out[i] <= out[i - 1]:
-                out[i] = math.nextafter(out[i - 1], math.inf)
-        arr = out
+    if not (arr[1:] > arr[:-1]).all():
+        for i in range(1, arr.size):
+            if arr[i] <= arr[i - 1]:
+                arr[i] = math.nextafter(arr[i - 1], math.inf)
     return arr
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowmark import (
     EmpiricalModel,
@@ -26,6 +28,7 @@ from flowmark.errors import (
     NonGenerativeModel,
     WindowTooLong,
 )
+from flowmark.flow_model import _canonical_timestamps
 
 
 class TestFlow:
@@ -81,6 +84,45 @@ class TestFlow:
         c = Flow(timestamps=[0.1, 0.3], duration=2.0)
         assert a == b
         assert a != c
+
+
+def canonical_reference(values) -> list[float]:
+    """Stable sort, then nudge each later duplicate one float step up."""
+    out = sorted(float(v) for v in values)
+    for i in range(1, len(out)):
+        if out[i] <= out[i - 1]:
+            out[i] = math.nextafter(out[i - 1], math.inf)
+    return out
+
+
+def timestamp_lists(values):
+    """Lists drawing often from a few fixed values, so runs of ties occur."""
+    return st.lists(st.one_of(values, st.sampled_from([0.0, 0.25, 1.0])), max_size=40)
+
+
+class TestCanonicalTimestamps:
+    @settings(deadline=None)
+    @given(
+        # Bounded below the largest float, where a nudged tie would overflow to inf.
+        values=timestamp_lists(st.floats(-1e300, 1e300)),
+        as_array=st.booleans(),
+    )
+    def test_matches_stable_sort_with_tie_break(self, values, as_array):
+        given_ts = np.array(values, dtype=float) if as_array else values
+        out = _canonical_timestamps(given_ts)
+        assert out.tobytes() == np.array(canonical_reference(values), dtype=float).tobytes()
+        assert bool(np.all(out[1:] > out[:-1]))
+
+    @settings(deadline=None)
+    @given(values=timestamp_lists(st.floats(0.0, 10.0)))
+    def test_flow_leaves_caller_array_alone(self, values):
+        given_ts = np.array(values, dtype=float)
+        before = given_ts.tobytes()
+        flow = Flow(timestamps=given_ts, duration=11.0)
+        assert given_ts.flags.writeable
+        assert given_ts.tobytes() == before
+        assert flow.timestamps.tolist() == canonical_reference(values)
+        assert not flow.timestamps.flags.writeable
 
 
 class TestGenerateFlow:

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowmark as fm
 from flowmark import (
@@ -22,7 +24,9 @@ from flowmark import (
     poisson_rate_for_clear_probability,
     read_manifest,
 )
+from flowmark.analysis import ceil_snapped
 from flowmark.errors import BadDelta, NegativeWindow, SearchSpaceTooLarge
+from flowmark.mfa import _BATCH_EDGES, _offset_grid, _window_lists
 
 REFERENCE_CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
 
@@ -39,6 +43,60 @@ def raw_gaps(flow: Flow) -> list[tuple[float, float]]:
     """Packet-free spans recomputed independently of the library internals."""
     edges = [0.0, *flow.timestamps.tolist(), flow.duration]
     return [(s, e) for s, e in zip(edges[:-1], edges[1:]) if e > s]
+
+
+def quantize_gap(s: float, e: float, shift: float, quantum: float):
+    """Scalar reference for snapping one gap, shifted by -shift, inward onto the grid."""
+    lo = math.ceil((s - shift) / quantum)
+    while lo * quantum + shift < s:
+        lo += 1
+    hi = math.floor((e - shift) / quantum)
+    while hi * quantum + shift > e:
+        hi -= 1
+    if hi <= lo:
+        return None
+    return lo, hi
+
+
+def reference_grid_windows(flow: Flow, shift: float, quantum: float, min_units: int):
+    out = []
+    for s, e in raw_gaps(flow):
+        q = quantize_gap(s, e, shift, quantum)
+        if q is not None and q[1] - q[0] >= min_units:
+            out.append(q)
+    return out
+
+
+def reference_window_lists(flows, cfg, shifts):
+    min_units = ceil_snapped(cfg.min_length / cfg.quantum)
+    return [
+        [reference_grid_windows(flow, shift, cfg.quantum, min_units) for shift in shifts]
+        for flow in flows
+    ]
+
+
+@st.composite
+def attack_instances(draw):
+    """A config plus flows mixing free, grid-aligned and duplicate timestamps."""
+    T = draw(st.floats(0.05, 2.0))
+    delta = T / draw(st.sampled_from([1, 2, 3, 4]))
+    quantum = delta / draw(st.sampled_from([4, 8, 16]))
+    o_max = delta * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]))
+    cfg = AttackConfig(T=T, delta=delta, o_max=o_max, epsilon=1e-3, quantum=quantum)
+    shifts = _offset_grid(cfg)
+    flows = []
+    for _ in range(draw(st.integers(1, 4))):
+        duration = draw(st.floats(quantum, 8 * T))
+        on_grid = st.builds(
+            lambda i, shift: min(duration, i * quantum + shift),
+            st.integers(0, int(duration / quantum)),
+            st.sampled_from(shifts),
+        )
+        ts = draw(st.lists(st.one_of(st.floats(0.0, duration), on_grid), max_size=30))
+        if ts:
+            ts += draw(st.lists(st.sampled_from(ts), max_size=6))
+        flows.append(Flow(timestamps=ts, duration=duration))
+    return cfg, shifts, flows
 
 
 def assert_window_sound(finding, flows, cfg) -> None:
@@ -136,6 +194,46 @@ class TestFindClearWindows:
                 ), (s, e)
 
 
+class TestGridWindowsMatchScalarReference:
+    @settings(deadline=None)
+    @given(instance=attack_instances())
+    def test_window_lists_equal_reference(self, instance):
+        cfg, shifts, flows = instance
+        assert _window_lists(flows, cfg, shifts, False) == reference_window_lists(
+            flows, cfg, shifts
+        )
+
+    @settings(deadline=None)
+    @given(instance=attack_instances())
+    def test_no_packet_inside_a_reported_window(self, instance):
+        cfg, _, flows = instance
+        q = cfg.quantum
+        min_length = cfg.min_length or q  # delta == T leaves no minimum
+        for flow in flows:
+            for w in find_clear_windows(flow, min_length, q):
+                # The window ends at grid index hi, as the snapping guard checks
+                # it; start + length can land one ulp past a packet at hi * q.
+                end = (round(w.start / q) + round(w.length / q)) * q
+                ts = flow.timestamps
+                assert not np.any((ts > w.start) & (ts < end))
+
+    def test_batches_past_the_edge_cap_match_reference(self):
+        flows = [generate_flow(PoissonModel(60.0), 90.9, seed=1)] + [
+            generate_flow(PoissonModel(20.0), 90.9, seed=seed) for seed in (2, 3, 4)
+        ]
+        assert len(flows[0]) + 2 > _BATCH_EDGES
+        assert sum(len(f) + 2 for f in flows[1:]) > _BATCH_EDGES
+        shifts = _offset_grid(REFERENCE_CFG)
+        assert _window_lists(flows, REFERENCE_CFG, shifts, False) == reference_window_lists(
+            flows, REFERENCE_CFG, shifts
+        )
+
+    def test_grid_too_fine_for_the_flow_is_an_error(self):
+        flow = Flow(timestamps=[1.0], duration=1e18)
+        with pytest.raises(SearchSpaceTooLarge):
+            find_clear_windows(flow, 0.5, 0.1)
+
+
 class TestFixedOffset:
     def test_shared_gap_is_found(self):
         flows = [carved_flow(0.0) for _ in range(3)]
@@ -180,6 +278,20 @@ class TestFixedOffset:
         assert finding.fp_bound_at_k == pytest.approx(
             fp_bound(4, p_hat, 1).clamped, rel=1e-12
         )
+
+    def test_short_flows_do_not_dilute_the_estimate(self):
+        long_flows = [generate_flow(PoissonModel(3.0), 10.0, seed=950 + i) for i in range(2)]
+        short = Flow(timestamps=[0.1], duration=0.3)
+        finding = mfa_fixed_offset([long_flows[0], short, long_flows[1]], REFERENCE_CFG)
+        p_hat = sum(
+            fm.estimate_clear_probability(f, 0.45, REFERENCE_CFG.quantum) for f in long_flows
+        ) / len(long_flows)
+        assert finding.fp_bound_at_k == pytest.approx(fp_bound(3, p_hat, 1).clamped, rel=1e-12)
+
+    def test_only_short_flows_claim_nothing(self):
+        flows = [Flow(timestamps=[0.1], duration=0.3), Flow(timestamps=[], duration=0.4)]
+        assert mfa_fixed_offset(flows, REFERENCE_CFG).fp_bound_at_k == 1.0
+        assert mfa_varied_offset_bnb(flows, REFERENCE_CFG).fp_bound_at_k == 1.0
 
     def test_rejects_empty_flow_list(self):
         with pytest.raises(ValueError):
