@@ -49,7 +49,7 @@ from .mfa import (
     mfa_varied_offset_exhaustive,
     read_manifest,
 )
-from .repro import REPRO_DEFAULT_SEED, REPRO_DEFAULT_TRIALS, all_cases
+from .repro import REPRO_DEFAULT_SEED, REPRO_DEFAULT_TRIALS, all_cases, monte_carlo_attack
 from .seeds import check_seed, derive_seed
 from .watermark import detect, embed, params_from_section, params_to_section
 
@@ -407,11 +407,12 @@ def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
     rows = []
     for value in values:
         kwargs = dict(base_kwargs)
-        kwargs[param] = value
         if param in ("T", "delta"):
             # The window length changed, so the clear probability does too.
+            kwargs[param] = value
             kwargs["p"] = prob_at(kwargs["T"], kwargs["delta"])
         try:
+            # sweep_table sets the swept value itself and rejects unknown params.
             rows.extend(sweep_table(param, [value], **kwargs))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -462,22 +463,9 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
     elif k <= 0:
         raise ConfigError(f"[experiment] k must be positive, got {k}")
 
-    attack = _ATTACK_METHODS[method]
-    multiplier = 1 if method == "fixed" else offset_multiplier(acfg.o_max, acfg.delta)
-    hits = 0
-    for trial in range(trials):
-        flows = [
-            generate_flow(model, duration, derive_seed(seed, "mc", trial, i))
-            for i in range(k)
-        ]
-        finding = attack(flows, acfg, clear_prob=p)
-        hits += finding.present
-    rate = hits / trials
-    bound = fp_bound(k, p, multiplier).clamped
-    sigma = math.sqrt(bound * (1.0 - bound) / trials)
-    ceiling = bound + 3.0 * sigma
-    passed = rate <= ceiling
-    half_width = 1.96 * math.sqrt(max(rate * (1.0 - rate), 1.0 / trials) / trials)
+    mc = monte_carlo_attack(_ATTACK_METHODS[method], acfg, model, duration, k, trials, seed, p)
+    passed = mc.rate <= mc.ceiling
+    half_width = 1.96 * math.sqrt(max(mc.rate * (1.0 - mc.rate), 1.0 / trials) / trials)
 
     parameters = {
         "attack": _attack_to_section(acfg),
@@ -489,14 +477,12 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
         "k": k,
         "method": method,
         "clear_prob": p,
-        "hits": hits,
-        "rate": rate,
-        "fp_bound": bound,
-        "ceiling": ceiling,
+        **mc._asdict(),
         "pass": passed,
     }
     header = ("trials", "hits", "rate", "ci_halfwidth", "fp_bound", "threshold", "pass")
-    rows = [(trials, hits, rate, half_width, bound, ceiling, "pass" if passed else "fail")]
+    verdict = "pass" if passed else "fail"
+    rows = [(trials, mc.hits, mc.rate, half_width, mc.fp_bound, mc.ceiling, verdict)]
     return parameters, results, header, rows
 
 

@@ -11,6 +11,10 @@ class FlowmarkError(Exception):
     """Base class for all toolkit errors."""
 
 
+class FlowFileError(FlowmarkError):
+    """Malformed flow file; the message names the file and line."""
+
+
 class NonGenerativeModel(FlowmarkError):
     """A flow model that cannot synthesize flows was asked to generate one."""
 
@@ -25,14 +29,6 @@ class NegativeWindow(FlowmarkError):
 
 class WindowTooLong(FlowmarkError):
     """Window length exceeds the flow duration."""
-
-
-class InvalidProbability(FlowmarkError):
-    """Probability outside the open interval (0, 1)."""
-
-
-class InvalidWindow(FlowmarkError):
-    """Window length must be positive for rate calibration."""
 
 
 class BadFraction(FlowmarkError):
@@ -52,7 +48,7 @@ class BadDelta(FlowmarkError):
 
 
 class BadProbability(FlowmarkError):
-    """Probability outside the half-open interval (0, 1]."""
+    """Probability outside the range its use allows, such as (0, 1] or (0, 1)."""
 
 
 class ConfigError(FlowmarkError):

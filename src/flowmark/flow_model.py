@@ -18,9 +18,9 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .errors import (
+    BadProbability,
+    FlowFileError,
     InvalidDuration,
-    InvalidProbability,
-    InvalidWindow,
     NegativeWindow,
     NonGenerativeModel,
     WindowTooLong,
@@ -236,9 +236,9 @@ def estimate_clear_probability(flow: Flow, t: float, stride: float) -> float:
 def poisson_rate_for_clear_probability(p: float, t: float) -> float:
     """Rate lam with exp(-lam * t) == p: calibrates Poisson to a measured point."""
     if not 0.0 < p < 1.0:
-        raise InvalidProbability(f"clear probability must be in (0, 1), got {p}")
+        raise BadProbability(f"clear probability must be in (0, 1), got {p}")
     if t <= 0 or not math.isfinite(t):
-        raise InvalidWindow(f"window length must be positive, got {t}")
+        raise NegativeWindow(f"window length must be positive, got {t}")
     return -math.log(p) / t
 
 
@@ -260,14 +260,18 @@ def write_flow(flow: Flow, path: str | Path) -> None:
 def read_flow(path: str | Path) -> Flow:
     """Parse a flow file; malformed or unsorted input fails with the line number."""
     path = Path(path)
-    text = path.read_text(encoding="ascii")
-    lines = text.splitlines()
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError:
+        raise FlowFileError(f"{path}: not an ASCII flow file") from None
     if not lines or not lines[0].startswith(_HEADER_PREFIX):
-        raise ValueError(f"{path}:1: expected header '{_HEADER_PREFIX}<seconds>'")
+        raise FlowFileError(f"{path}:1: expected header '{_HEADER_PREFIX}<seconds>'")
     try:
         duration = float(lines[0][len(_HEADER_PREFIX):])
     except ValueError:
-        raise ValueError(f"{path}:1: malformed duration in header") from None
+        raise FlowFileError(f"{path}:1: malformed duration in header") from None
+    if not 0.0 < duration < math.inf:
+        raise FlowFileError(f"{path}:1: duration must be positive and finite, got {duration}")
     timestamps: list[float] = []
     prev = -math.inf
     for lineno, line in enumerate(lines[1:], start=2):
@@ -277,13 +281,14 @@ def read_flow(path: str | Path) -> Flow:
         try:
             value = float(stripped)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: not a timestamp: {stripped!r}") from None
+            raise FlowFileError(f"{path}:{lineno}: not a timestamp: {stripped!r}") from None
         if value < prev:
-            raise ValueError(
+            raise FlowFileError(
                 f"{path}:{lineno}: timestamps out of order ({value} after {prev})"
             )
-        if value < 0 or value > duration:
-            raise ValueError(
+        # Written so that nan fails it too.
+        if not 0.0 <= value <= duration:
+            raise FlowFileError(
                 f"{path}:{lineno}: timestamp {value} outside [0, {duration}]"
             )
         timestamps.append(value)

@@ -85,13 +85,6 @@ class AttackFinding:
     fp_bound_at_k: float
 
 
-def _raw_gaps(flow: Flow) -> list[tuple[float, float]]:
-    """Maximal packet-free spans (s, e), endpoints at packets or flow edges."""
-    ts = flow.timestamps.tolist()
-    edges = [0.0] + ts + [flow.duration]
-    return [(s, e) for s, e in zip(edges[:-1], edges[1:]) if e > s]
-
-
 # Gap edges per snapping batch: caps the (shifts x edges) work arrays.
 _BATCH_EDGES = 4096
 
@@ -150,22 +143,14 @@ def _snapped_windows(
     return out + _snap_batch(flows[start:], shift_arr, quantum, min_units)
 
 
-def _exact_windows(flow: Flow, shift: float, min_length: float) -> list[tuple[float, float]]:
-    return [
-        (s - shift, e - shift)
-        for s, e in _raw_gaps(flow)
-        if (e - shift) - (s - shift) >= min_length
-    ]
-
-
-def _intersect(windows_a: list, windows_b: list, min_size) -> list:
-    """Intersect two sorted window lists, keeping pieces of at least min_size."""
+def _intersect(windows_a: list, windows_b: list, min_units: int) -> list:
+    """Intersect two sorted grid-window lists, keeping pieces of at least min_units."""
     out = []
     i = j = 0
     while i < len(windows_a) and j < len(windows_b):
         lo = max(windows_a[i][0], windows_b[j][0])
         hi = min(windows_a[i][1], windows_b[j][1])
-        if hi - lo >= min_size:
+        if hi - lo >= min_units:
             out.append((lo, hi))
         if windows_a[i][1] < windows_b[j][1]:
             i += 1
@@ -194,6 +179,8 @@ def find_clear_windows(flow: Flow, min_length: float, quantum: float) -> list[Cl
 
 def _mean_clear_probability(flows: Sequence[Flow], cfg: AttackConfig) -> float:
     """Estimate of the per-flow clear probability at window T - delta."""
+    if cfg.min_length == 0:
+        return 1.0  # delta == T: an empty window is always clear
     total = 0.0
     measured = 0
     for flow in flows:
@@ -210,48 +197,32 @@ def _finding(
     flows: Sequence[Flow],
     cfg: AttackConfig,
     multiplier: int,
-    hit: Optional[tuple[tuple[float, float], tuple[float, ...]]],
     searched: int,
     clear_prob: Optional[float],
+    window: Optional[tuple[int, int]] = None,
+    assignment: Optional[tuple[float, ...]] = None,
 ) -> AttackFinding:
+    """The finding for a grid window (None when absent) and its offsets."""
     p = _mean_clear_probability(flows, cfg) if clear_prob is None else clear_prob
-    bound = fp_bound(len(flows), p, multiplier).clamped
-    if hit is None:
-        return AttackFinding(
-            present=False,
-            matched_window=None,
-            offset_assignment=None,
-            configurations_searched=searched,
-            fp_bound_at_k=bound,
-        )
-    window, assignment = hit
+    matched = None
+    if window is not None:
+        lo, hi = window
+        matched = (lo * cfg.quantum, (hi - lo) * cfg.quantum)
     return AttackFinding(
-        present=True,
-        matched_window=window,
+        present=window is not None,
+        matched_window=matched,
         offset_assignment=assignment,
         configurations_searched=searched,
-        fp_bound_at_k=bound,
+        fp_bound_at_k=fp_bound(len(flows), p, multiplier).clamped,
     )
 
 
 def _window_lists(
-    flows: Sequence[Flow], cfg: AttackConfig, shifts: Sequence[float], exact: bool
-) -> list[list[list]]:
+    flows: Sequence[Flow], cfg: AttackConfig, shifts: Sequence[float]
+) -> list[list[list[tuple[int, int]]]]:
     """windows[flow_index][shift_index], each sorted by window start."""
-    if exact:
-        return [
-            [_exact_windows(flow, shift, cfg.min_length) for shift in shifts]
-            for flow in flows
-        ]
     min_units = ceil_snapped(cfg.min_length / cfg.quantum)
     return _snapped_windows(flows, shifts, cfg.quantum, min_units)
-
-
-def _to_seconds(window: tuple, cfg: AttackConfig, exact: bool) -> tuple[float, float]:
-    lo, hi = window
-    if exact:
-        return float(lo), float(hi - lo)
-    return lo * cfg.quantum, (hi - lo) * cfg.quantum
 
 
 def _check_flows(flows: Sequence[Flow]) -> None:
@@ -259,30 +230,62 @@ def _check_flows(flows: Sequence[Flow]) -> None:
         raise ValueError("attack needs at least one flow")
 
 
-def mfa_fixed_offset(
+def _search(
     flows: Sequence[Flow],
     cfg: AttackConfig,
-    *,
-    exact: bool = False,
-    clear_prob: Optional[float] = None,
+    offsets: Sequence[float],
+    clear_prob: Optional[float],
 ) -> AttackFinding:
-    """Common-offset attack: intersect all flows' clear windows directly.
+    """Branch-and-bound over per-flow offsets, flow by flow, without recursion.
 
-    The earliest common window of length at least T - delta wins.  The
-    reported bound uses multiplier 1 (no offset uncertainty).
+    Assignments are explored in lexicographic order of offset index, the
+    order of the exhaustive search, so the first hit is the same.  A branch
+    dies as soon as the windows common to the flows so far are empty, so
+    whole sub-spaces vanish without enumeration.  configurations_searched
+    counts pruned branches plus complete assignments reached.  The bound
+    uses multiplier len(offsets), one alignment per offset guess.
     """
     _check_flows(flows)
-    min_size = cfg.min_length if exact else ceil_snapped(cfg.min_length / cfg.quantum)
-    lists = _window_lists(flows, cfg, [0.0], exact)
-    common = lists[0][0]
-    for fi in range(1, len(flows)):
-        if not common:
-            break
-        common = _intersect(common, lists[fi][0], min_size)
-    hit = None
-    if common:
-        hit = (_to_seconds(common[0], cfg, exact), (0.0,) * len(flows))
-    return _finding(flows, cfg, 1, hit, 1, clear_prob)
+    k, count = len(flows), len(offsets)
+    min_units = ceil_snapped(cfg.min_length / cfg.quantum)
+    lists = _window_lists(flows, cfg, offsets)
+    searched = 0
+    path = [0]  # offset index under trial at each level; the last is the open one
+    common: list[list] = []  # common[i]: windows shared by flows 0..i under path
+    while path:
+        level, oi = len(path) - 1, path[-1]
+        if oi == count:  # every offset of this level tried: backtrack
+            path.pop()
+            if path:
+                common.pop()
+                path[-1] += 1
+            continue
+        survived = lists[level][oi]
+        if level:
+            survived = _intersect(common[-1], survived, min_units)
+        if not survived:
+            searched += 1  # pruned branch
+            path[-1] += 1
+        elif level == k - 1:
+            searched += 1  # complete assignment
+            assignment = tuple(offsets[i] for i in path)
+            return _finding(flows, cfg, count, searched, clear_prob, survived[0], assignment)
+        else:
+            common.append(survived)
+            path.append(0)
+    return _finding(flows, cfg, count, searched, clear_prob)
+
+
+def mfa_fixed_offset(
+    flows: Sequence[Flow], cfg: AttackConfig, *, clear_prob: Optional[float] = None
+) -> AttackFinding:
+    """Common-offset attack: the search with the single offset 0.
+
+    The earliest common window of length at least T - delta wins.  The
+    reported bound uses multiplier 1 (no offset uncertainty), and
+    configurations_searched is always 1.
+    """
+    return _search(flows, cfg, [0.0], clear_prob)
 
 
 def _offset_grid(cfg: AttackConfig) -> list[float]:
@@ -298,13 +301,13 @@ def mfa_varied_offset_exhaustive(
     cfg: AttackConfig,
     *,
     cap: int = EXHAUSTIVE_CAP,
-    exact: bool = False,
     clear_prob: Optional[float] = None,
 ) -> AttackFinding:
     """Try every per-flow offset assignment in lexicographic order.
 
     Stops at the first assignment exhibiting a common clear window; errors
-    if the multiplier ** k space exceeds the cap.
+    if the multiplier ** k space exceeds the cap.  This is the reference
+    enumeration the branch-and-bound search is checked against.
     """
     _check_flows(flows)
     offsets = _offset_grid(cfg)
@@ -314,9 +317,8 @@ def mfa_varied_offset_exhaustive(
         raise SearchSpaceTooLarge(
             f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
         )
-    min_size = cfg.min_length if exact else ceil_snapped(cfg.min_length / cfg.quantum)
-    lists = _window_lists(flows, cfg, offsets, exact)
-    multiplier = offset_multiplier(cfg.o_max, cfg.delta)
+    min_units = ceil_snapped(cfg.min_length / cfg.quantum)
+    lists = _window_lists(flows, cfg, offsets)
     searched = 0
     for assignment in itertools.product(range(len(offsets)), repeat=k):
         searched += 1
@@ -324,68 +326,25 @@ def mfa_varied_offset_exhaustive(
         for fi in range(1, k):
             if not common:
                 break
-            common = _intersect(common, lists[fi][assignment[fi]], min_size)
+            common = _intersect(common, lists[fi][assignment[fi]], min_units)
         if common:
-            hit = (
-                _to_seconds(common[0], cfg, exact),
-                tuple(offsets[oi] for oi in assignment),
+            offsets_used = tuple(offsets[oi] for oi in assignment)
+            return _finding(
+                flows, cfg, len(offsets), searched, clear_prob, common[0], offsets_used
             )
-            return _finding(flows, cfg, multiplier, hit, searched, clear_prob)
-    return _finding(flows, cfg, multiplier, None, searched, clear_prob)
+    return _finding(flows, cfg, len(offsets), searched, clear_prob)
 
 
 def mfa_varied_offset_bnb(
-    flows: Sequence[Flow],
-    cfg: AttackConfig,
-    *,
-    exact: bool = False,
-    clear_prob: Optional[float] = None,
+    flows: Sequence[Flow], cfg: AttackConfig, *, clear_prob: Optional[float] = None
 ) -> AttackFinding:
-    """Branch-and-bound over offset assignments, flow by flow.
+    """Branch-and-bound over the step-delta offset grid, flow by flow.
 
-    A branch dies as soon as the surviving common window set is empty, so
-    whole sub-spaces vanish without enumeration.  Exploration order is the
-    same lexicographic order as the exhaustive search, hence identical
-    verdicts and, when present, identical assignments.
-    configurations_searched counts pruned branches plus complete
-    assignments reached.
+    Same verdicts and, when present, the same window and assignment as the
+    exhaustive search, with no cap on the search space and no recursion, so
+    any k that min_flows prescribes can be searched.
     """
-    _check_flows(flows)
-    offsets = _offset_grid(cfg)
-    k = len(flows)
-    min_size = cfg.min_length if exact else ceil_snapped(cfg.min_length / cfg.quantum)
-    lists = _window_lists(flows, cfg, offsets, exact)
-    multiplier = offset_multiplier(cfg.o_max, cfg.delta)
-    searched = 0
-    prefix: list[int] = []
-
-    def descend(level: int, common: list) -> Optional[tuple]:
-        nonlocal searched
-        for oi in range(len(offsets)):
-            if level == 0:
-                survived = lists[0][oi]
-            else:
-                survived = _intersect(common, lists[level][oi], min_size)
-            if not survived:
-                searched += 1  # pruned branch
-                continue
-            prefix.append(oi)
-            if level == k - 1:
-                searched += 1  # complete assignment
-                hit = (
-                    _to_seconds(survived[0], cfg, exact),
-                    tuple(offsets[i] for i in prefix),
-                )
-                prefix.pop()
-                return hit
-            hit = descend(level + 1, survived)
-            prefix.pop()
-            if hit is not None:
-                return hit
-        return None
-
-    hit = descend(0, [])
-    return _finding(flows, cfg, multiplier, hit, searched, clear_prob)
+    return _search(flows, cfg, _offset_grid(cfg), clear_prob)
 
 
 def read_manifest(path: str | Path) -> list[Path]:

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from .analysis import (
-    countermeasure_is_effective,
-    countermeasure_threshold,
-    fp_bound,
-    min_flows,
-    offset_multiplier,
-)
+from .analysis import countermeasure_is_effective, countermeasure_threshold, fp_bound, min_flows
 from .flow_model import PoissonModel, generate_flow, poisson_rate_for_clear_probability
-from .mfa import AttackConfig, mfa_varied_offset_bnb
+from .mfa import AttackConfig, AttackFinding, mfa_varied_offset_bnb
 from .seeds import derive_seed
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
@@ -115,6 +110,46 @@ def closed_form_cases(
     return cases
 
 
+class MonteCarloRate(NamedTuple):
+    """Attack hits over unwatermarked trials, their rate, and its ceiling."""
+
+    hits: int
+    rate: float
+    fp_bound: float  # fp_bound_at_k of the attack
+    ceiling: float  # fp_bound + 3 sigma of a Bernoulli(fp_bound) mean over the trials
+
+
+def monte_carlo_attack(
+    attack: Callable[..., AttackFinding],
+    cfg: AttackConfig,
+    model: PoissonModel,
+    duration: float,
+    k: int,
+    trials: int,
+    seed: int,
+    clear_prob: float,
+) -> MonteCarloRate:
+    """False-positive rate of an attack on k unwatermarked flows per trial.
+
+    Flow i of trial t is drawn from `model` over `duration` seconds with
+    seed derive_seed(seed, "mc", t, i), and the attack runs with the given
+    clear probability, so its bound is the same in every trial.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    hits = 0
+    for trial in range(trials):
+        flows = [
+            generate_flow(model, duration, derive_seed(seed, "mc", trial, i))
+            for i in range(k)
+        ]
+        finding = attack(flows, cfg, clear_prob=clear_prob)
+        hits += finding.present
+    bound = finding.fp_bound_at_k
+    sigma = math.sqrt(bound * (1.0 - bound) / trials)
+    return MonteCarloRate(hits, hits / trials, bound, bound + 3.0 * sigma)
+
+
 def monte_carlo_case(
     seed: int = REPRO_DEFAULT_SEED,
     trials: int = REPRO_DEFAULT_TRIALS,
@@ -130,37 +165,16 @@ def monte_carlo_case(
     per-assignment accounting of the analytic bound.
     """
     cfg = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
-    rate_param = poisson_rate_for_clear_probability(clear_prob, cfg.min_length)
-    model = PoissonModel(rate_param)
-    multiplier = offset_multiplier(cfg.o_max, cfg.delta)
-    bound = fp_bound(k, clear_prob, multiplier).clamped
-
-    hits = 0
-    for trial in range(trials):
-        flows = [
-            generate_flow(model, cfg.T, derive_seed(seed, "mc", trial, i))
-            for i in range(k)
-        ]
-        finding = mfa_varied_offset_bnb(flows, cfg, clear_prob=clear_prob)
-        hits += finding.present
-    rate = hits / trials
-    sigma = math.sqrt(bound * (1.0 - bound) / trials)
-    ceiling = bound + 3.0 * sigma
+    model = PoissonModel(poisson_rate_for_clear_probability(clear_prob, cfg.min_length))
+    mc = monte_carlo_attack(mfa_varied_offset_bnb, cfg, model, cfg.T, k, trials, seed, clear_prob)
     case = ReproCase(
         name="mfa-false-positive-rate",
-        expected=f"rate <= {ceiling:.4g} (bound {bound:.4g} + 3 sigma)",
-        computed=repr(rate),
-        display=f"{rate:.4g} over {trials} trials",
-        passed=rate <= ceiling,
+        expected=f"rate <= {mc.ceiling:.4g} (bound {mc.fp_bound:.4g} + 3 sigma)",
+        computed=repr(mc.rate),
+        display=f"{mc.rate:.4g} over {trials} trials",
+        passed=mc.rate <= mc.ceiling,
     )
-    stats = {
-        "trials": trials,
-        "hits": hits,
-        "rate": rate,
-        "fp_bound": bound,
-        "ceiling": ceiling,
-    }
-    return case, stats
+    return case, {"trials": trials, **mc._asdict()}
 
 
 def all_cases(

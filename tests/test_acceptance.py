@@ -30,6 +30,7 @@ from flowmark import (
     offset_multiplier,
 )
 from flowmark.cli import main
+from flowmark.repro import monte_carlo_attack
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -153,16 +154,11 @@ def test_criterion_08_monte_carlo_rate_below_bound():
     multiplier = offset_multiplier(cfg.o_max, cfg.delta)
     bound = fp_bound(k, 0.276, multiplier).clamped
     start = time.perf_counter()
-    hits = 0
     # flows span one interval length so each offset assignment contributes a
     # single alignment, matching the per-assignment accounting of the bound
-    for trial in range(trials):
-        flows = [
-            generate_flow(model, cfg.T, derive_seed(0, "mc", trial, i)) for i in range(k)
-        ]
-        hits += mfa_varied_offset_bnb(flows, cfg, clear_prob=0.276).present
+    mc = monte_carlo_attack(mfa_varied_offset_bnb, cfg, model, cfg.T, k, trials, 0, 0.276)
     elapsed = time.perf_counter() - start
-    rate = hits / trials
+    rate = mc.hits / trials
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     ceiling = bound + 3.0 * sigma
     ok = rate <= ceiling and elapsed < 300.0

@@ -7,6 +7,7 @@ import pytest
 from flowmark import load_config, parse_config, render_config
 from flowmark.cli import (
     EXIT_CONFIG,
+    EXIT_FAILURE,
     EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
@@ -279,6 +280,32 @@ class TestAttackScenario:
             == results["exhaustive"]["offset_assignment"]
         )
 
+    def test_delta_equal_to_interval_claims_nothing(self, tmp_path, marked_setup):
+        cfg = tmp_path / "atk.ini"
+        cfg.write_text(
+            ATTACK_SECTION.replace("delta = 0.45", "delta = 0.9")
+            + f"\n[experiment]\nmanifest = {marked_setup}\n"
+        )
+        out = tmp_path / "atk"
+        assert run_cli("attack", "--config", cfg, "--out", out) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["fp_bound_at_k"] == 1.0
+
+    @pytest.mark.parametrize("scenario", ["attack", "detect"])
+    def test_bad_flow_file_is_a_one_line_failure(self, tmp_path, capsys, scenario):
+        (tmp_path / "bad.txt").write_text("# duration=2.0\n0.5\nnan\n")
+        (tmp_path / "manifest.txt").write_text("bad.txt\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            (ATTACK_SECTION if scenario == "attack" else WATERMARK_SECTION)
+            + "\n[experiment]\nmanifest = manifest.txt\n"
+        )
+        rc = run_cli(scenario, "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "bad.txt:3:" in err
+
     def test_unknown_method_is_config_error(self, tmp_path, marked_setup):
         cfg = tmp_path / "atk.ini"
         cfg.write_text(
@@ -332,6 +359,17 @@ class TestBoundsScenario:
         assert bases[0] > bases[1] > bases[2]
         assert bases[0] == pytest.approx(2 * 0.525, rel=1e-12)
         assert bases[2] == pytest.approx(2 * 0.276, rel=1e-12)
+
+    def test_unknown_sweep_param_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            "[flow]\nmodel = poisson\nrate = 3.0\n\n"
+            + ATTACK_SECTION
+            + "\n[sweep]\nparam = foo\nvalues = 1, 2\n"
+        )
+        rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        assert "foo" in capsys.readouterr().err
 
     def test_requires_flow_section(self, tmp_path):
         cfg = tmp_path / "bounds.ini"

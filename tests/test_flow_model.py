@@ -21,9 +21,9 @@ from flowmark import (
     write_flow,
 )
 from flowmark.errors import (
+    BadProbability,
+    FlowFileError,
     InvalidDuration,
-    InvalidProbability,
-    InvalidWindow,
     NegativeWindow,
     NonGenerativeModel,
     WindowTooLong,
@@ -277,11 +277,11 @@ class TestRateCalibration:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
     def test_rejects_degenerate_probability(self, p):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(BadProbability):
             poisson_rate_for_clear_probability(p, 0.45)
 
     def test_rejects_zero_window(self):
-        with pytest.raises(InvalidWindow):
+        with pytest.raises(NegativeWindow):
             poisson_rate_for_clear_probability(0.5, 0.0)
 
 
@@ -309,25 +309,46 @@ class TestFlowFiles:
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0.5\n0.7\n")
-        with pytest.raises(ValueError, match="duration"):
+        with pytest.raises(FlowFileError, match="duration"):
             read_flow(path)
 
     def test_rejects_descending_timestamps_with_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# duration=2.0\n0.7\n0.5\n")
-        with pytest.raises(ValueError, match=":3:"):
+        with pytest.raises(FlowFileError, match=":3:"):
             read_flow(path)
 
     def test_rejects_garbage_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# duration=2.0\n0.5\nnot-a-number\n")
-        with pytest.raises(ValueError, match=":3:"):
+        with pytest.raises(FlowFileError, match=":3:"):
             read_flow(path)
 
     def test_rejects_out_of_range_timestamp(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# duration=2.0\n2.5\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(FlowFileError):
+            read_flow(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("# duration=2.0\n0.5\nnan\n", ":3:"),
+            ("# duration=nan\n0.5\n", ":1:"),
+            ("# duration=inf\n", ":1:"),
+            ("# duration=0\n", ":1:"),
+        ],
+    )
+    def test_rejects_bad_values_with_line_number(self, tmp_path, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FlowFileError, match=line):
+            read_flow(path)
+
+    def test_rejects_non_ascii_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes("# duration=2.0\n0.5\u00b5\n".encode("utf-8"))
+        with pytest.raises(FlowFileError, match="ASCII"):
             read_flow(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):

@@ -1,5 +1,6 @@
 """Clear-window extraction and the multi-flow attack in all three modes."""
 
+import dataclasses
 import math
 import random
 
@@ -20,6 +21,7 @@ from flowmark import (
     mfa_fixed_offset,
     mfa_varied_offset_bnb,
     mfa_varied_offset_exhaustive,
+    min_flows,
     offset_multiplier,
     poisson_rate_for_clear_probability,
     read_manifest,
@@ -199,7 +201,7 @@ class TestGridWindowsMatchScalarReference:
     @given(instance=attack_instances())
     def test_window_lists_equal_reference(self, instance):
         cfg, shifts, flows = instance
-        assert _window_lists(flows, cfg, shifts, False) == reference_window_lists(
+        assert _window_lists(flows, cfg, shifts) == reference_window_lists(
             flows, cfg, shifts
         )
 
@@ -224,7 +226,7 @@ class TestGridWindowsMatchScalarReference:
         assert len(flows[0]) + 2 > _BATCH_EDGES
         assert sum(len(f) + 2 for f in flows[1:]) > _BATCH_EDGES
         shifts = _offset_grid(REFERENCE_CFG)
-        assert _window_lists(flows, REFERENCE_CFG, shifts, False) == reference_window_lists(
+        assert _window_lists(flows, REFERENCE_CFG, shifts) == reference_window_lists(
             flows, REFERENCE_CFG, shifts
         )
 
@@ -243,17 +245,6 @@ class TestFixedOffset:
         assert finding.configurations_searched == 1
         assert finding.fp_bound_at_k == pytest.approx(0.276**3, rel=1e-12)
         assert_window_sound(finding, flows, REFERENCE_CFG)
-
-    def test_exact_mode_widens_the_window(self):
-        flows = [carved_flow(0.0) for _ in range(3)]
-        snapped = mfa_fixed_offset(flows, REFERENCE_CFG, clear_prob=0.276)
-        exact = mfa_fixed_offset(flows, REFERENCE_CFG, exact=True, clear_prob=0.276)
-        assert exact.present
-        s_lo, s_len = snapped.matched_window
-        e_lo, e_len = exact.matched_window
-        assert e_lo <= s_lo + 1e-12
-        assert e_lo + e_len >= s_lo + s_len - 1e-12
-        assert_window_sound(exact, flows, REFERENCE_CFG)
 
     def test_misaligned_gaps_are_not_common(self):
         flows = [carved_flow(0.0), carved_flow(0.45), carved_flow(0.45)]
@@ -409,6 +400,44 @@ class TestBranchAndBoundAgreesWithExhaustive:
         assert bb.configurations_searched <= ex.configurations_searched
         if ex.present:
             assert_window_sound(ex, flows, cfg)
+
+
+def assert_same_finding(a, b) -> None:
+    assert a.present == b.present
+    assert a.matched_window == b.matched_window
+    assert a.offset_assignment == b.offset_assignment
+    assert a.fp_bound_at_k == b.fp_bound_at_k
+
+
+class TestSearchesAgreeWithTheOracle:
+    @settings(deadline=None)
+    @given(instance=attack_instances(), clear_prob=st.one_of(st.none(), st.floats(0.0, 1.0)))
+    def test_fixed_offset_is_the_oracle_at_zero_spread(self, instance, clear_prob):
+        cfg, _, flows = instance
+        fixed = mfa_fixed_offset(flows, cfg, clear_prob=clear_prob)
+        oracle = mfa_varied_offset_exhaustive(
+            flows, dataclasses.replace(cfg, o_max=0.0), clear_prob=clear_prob
+        )
+        assert_same_finding(fixed, oracle)
+        assert fixed.configurations_searched == 1
+
+    @settings(deadline=None)
+    @given(instance=attack_instances(), clear_prob=st.one_of(st.none(), st.floats(0.0, 1.0)))
+    def test_bnb_is_the_oracle(self, instance, clear_prob):
+        cfg, _, flows = instance
+        bb = mfa_varied_offset_bnb(flows, cfg, clear_prob=clear_prob)
+        ex = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=clear_prob)
+        assert_same_finding(bb, ex)
+        assert bb.configurations_searched <= ex.configurations_searched
+
+    def test_bnb_reaches_the_depth_min_flows_prescribes(self):
+        k = min_flows(1e-5, 0.9, 0.45, 0.4999).min_k
+        assert k > 50_000
+        flows = [Flow([0.95], 1.8)] * k
+        finding = mfa_varied_offset_bnb(flows, REFERENCE_CFG, clear_prob=0.4999)
+        assert finding.present
+        assert finding.offset_assignment == (0.0,) * k
+        assert finding.configurations_searched == 1
 
 
 class TestManifest:
