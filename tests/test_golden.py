@@ -1,5 +1,8 @@
 """Golden outputs: the SHA-256 of every scenario's CSV at a fixed seed.
 
+The flow files that `generate` and `embed` write are pinned as well, by
+the SHA-256 of their bytes concatenated in manifest order.
+
 Each case runs `flowmark.cli.main` from a fresh working directory with
 relative paths only, so the paths some CSVs echo are the same wherever the
 suite runs.  A refactor that changes any byte of any scenario's CSV fails
@@ -12,6 +15,7 @@ import hashlib
 import pytest
 
 from flowmark.cli import EXIT_OK, main
+from flowmark.mfa import read_manifest
 
 FLOW = "[flow]\nmodel = poisson\nrate = 3.0\n"
 EMPIRICAL = "[flow]\nmodel = empirical\ntable = 0.175:0.525, 0.35:0.33, 0.45:0.276\n"
@@ -135,6 +139,14 @@ GOLDEN = {
     "paper-repro": "621b6898714ed7ec71d3c2b65827cf166a5280f9491757283ca4e2fa375069e6",
 }
 
+# Cases whose flow files are pinned too: the manifest each one writes.
+FLOW_MANIFESTS = {"generate": "gen/manifest.txt", "embed": "emb/manifest.txt"}
+
+FLOW_GOLDEN = {
+    "embed": "90bdffa309835cf155cd62be7b6b024d4cd0c073b3aecd579df5131c1bf4c41b",
+    "generate": "e1517eef66e0eb0e8543d69e6ed7d6163df847cf7862ace7095af7a3044492a2",
+}
+
 
 def csv_digest(case: str) -> str:
     """Run one case in the current directory and hash the CSV it writes."""
@@ -154,5 +166,16 @@ def test_csv_matches_golden_digest(case, tmp_path, monkeypatch):
     assert csv_digest(case) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(FLOW_MANIFESTS))
+def test_flow_files_match_golden_digest(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    csv_digest(case)
+    digest = hashlib.sha256()
+    for entry in read_manifest(FLOW_MANIFESTS[case]):
+        digest.update(entry.read_bytes())
+    assert digest.hexdigest() == FLOW_GOLDEN[case]
+
+
 def test_every_case_is_pinned():
     assert set(GOLDEN) == set(CASES)
+    assert set(FLOW_GOLDEN) == set(FLOW_MANIFESTS)
