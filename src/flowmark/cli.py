@@ -162,7 +162,7 @@ def _attack_config(cfg: ConfigDict) -> AttackConfig:
             epsilon=get_float(cfg, "attack", "epsilon"),
             quantum=get_float(cfg, "attack", "quantum", None),
         )
-    except FlowmarkError as exc:
+    except (ValueError, FlowmarkError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad [attack] section: {exc}") from exc

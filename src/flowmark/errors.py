@@ -12,7 +12,7 @@ class FlowmarkError(Exception):
 
 
 class FlowFileError(FlowmarkError):
-    """Malformed flow file; the message names the file and line."""
+    """Malformed flow file or manifest; the message names the file (and line)."""
 
 
 class NonGenerativeModel(FlowmarkError):

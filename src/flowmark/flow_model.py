@@ -47,9 +47,18 @@ def _canonical_timestamps(timestamps: Iterable[float]) -> np.ndarray:
     if (arr[1:] < arr[:-1]).any():
         arr = arr[np.argsort(arr, kind="stable")]
     if not (arr[1:] > arr[:-1]).all():
-        for i in range(1, arr.size):
-            if arr[i] <= arr[i - 1]:
-                arr[i] = math.nextafter(arr[i - 1], math.inf)
+        # arr[i] = max(arr[i], nextafter(arr[i-1], inf)) in sequence, run on the
+        # ordered-integer image of the floats: both zeros map to 0 and a float
+        # step is +1.  A moved image at or below 0 follows a negative value.
+        lowest = np.iinfo(np.int64).min
+        bits = arr.view(np.int64)
+        key = np.where(bits < 0, lowest - bits, bits)
+        steps = np.arange(arr.size)
+        image = np.maximum.accumulate(key - steps) + steps
+        moved = image != key
+        arr[moved] = np.where(image > 0, image, lowest - image)[moved].view(float)
+        if not math.isfinite(arr[-1]):
+            raise ValueError("timestamps must be finite")
     return arr
 
 
@@ -272,25 +281,32 @@ def read_flow(path: str | Path) -> Flow:
         raise FlowFileError(f"{path}:1: malformed duration in header") from None
     if not 0.0 < duration < math.inf:
         raise FlowFileError(f"{path}:1: duration must be positive and finite, got {duration}")
-    timestamps: list[float] = []
-    prev = -math.inf
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            value = float(stripped)
-        except ValueError:
-            raise FlowFileError(f"{path}:{lineno}: not a timestamp: {stripped!r}") from None
-        if value < prev:
-            raise FlowFileError(
-                f"{path}:{lineno}: timestamps out of order ({value} after {prev})"
-            )
-        # Written so that nan fails it too.
-        if not 0.0 <= value <= duration:
-            raise FlowFileError(
-                f"{path}:{lineno}: timestamp {value} outside [0, {duration}]"
-            )
-        timestamps.append(value)
-        prev = value
-    return Flow(timestamps=np.asarray(timestamps, dtype=float), duration=duration)
+    try:
+        values = np.fromiter(map(float, filter(None, map(str.strip, lines[1:]))), dtype=float)
+    except ValueError:
+        values = None
+    # Written so that nan fails the range check too.
+    if (
+        values is None
+        or (values[1:] < values[:-1]).any()
+        or not ((0.0 <= values) & (values <= duration)).all()
+    ):  # Report the first bad line.
+        prev = -math.inf
+        for lineno, line in enumerate(lines[1:], start=2):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                value = float(stripped)
+            except ValueError:
+                raise FlowFileError(f"{path}:{lineno}: not a timestamp: {stripped!r}") from None
+            if value < prev:
+                raise FlowFileError(
+                    f"{path}:{lineno}: timestamps out of order ({value} after {prev})"
+                )
+            if not 0.0 <= value <= duration:
+                raise FlowFileError(
+                    f"{path}:{lineno}: timestamp {value} outside [0, {duration}]"
+                )
+            prev = value
+    return Flow(timestamps=values, duration=duration)

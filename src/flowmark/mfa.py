@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import ceil_snapped, fp_bound, offset_multiplier
-from .errors import BadDelta, NegativeWindow, SearchSpaceTooLarge
+from .errors import BadDelta, FlowFileError, NegativeWindow, SearchSpaceTooLarge
 from .flow_model import Flow, estimate_clear_probability
 
 
@@ -352,7 +352,11 @@ def read_manifest(path: str | Path) -> list[Path]:
     path = Path(path)
     base = path.parent
     entries: list[Path] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FlowFileError(f"{path}: not a UTF-8 manifest") from None
+    for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .analysis import ceil_snapped
 from .errors import BadDelta, BadFraction, ConfigError, FlowmarkError, FlowTooShort
 from .flow_model import Flow, FlowModel, generate_flow
@@ -100,21 +102,14 @@ def derive_pattern(key: int, n: int, clear_fraction: float) -> ClearPattern:
     return ClearPattern(n=n, cleared=cleared)
 
 
-def _interval_index(t: float, o: float, T: float) -> int:
-    """Index i with t in [o + i*T, o + (i+1)*T), snapping ulp-level boundary noise."""
-    q = (t - o) / T
-    nearest = round(q)
-    if abs(q - nearest) <= 1e-9 * max(1.0, abs(q)):
-        return int(nearest)
-    return int(math.floor(q))
-
-
 def embed(flow: Flow, params: WatermarkParams) -> Flow:
     """Delay every packet out of the cleared intervals of the keyed pattern.
 
     A delayed packet moves to the start of the next non-cleared region
     (possibly the end of the watermark window); relative order is kept and
-    exact collisions are separated by the canonical tie step.
+    exact collisions are separated by the canonical tie step.  A packet's
+    interval is floor((t - o) / T), snapped to the nearest boundary when
+    within 1e-9 relative of it to absorb ulp-level noise.
     """
     window_end = params.o + params.n * params.T
     if flow.duration < window_end:
@@ -122,18 +117,20 @@ def embed(flow: Flow, params: WatermarkParams) -> Flow:
             f"flow duration {flow.duration} is shorter than the watermark window "
             f"end {window_end}"
         )
-    cleared = params.pattern().cleared
-    out = flow.timestamps.tolist()
-    for pos, t in enumerate(out):
-        if t < params.o:
-            continue
-        i = _interval_index(t, params.o, params.T)
-        if i < 0 or i >= params.n or i not in cleared:
-            continue
-        j = i + 1
-        while j < params.n and j in cleared:
-            j += 1
-        out[pos] = params.o + j * params.T
+    o, T, n = params.o, params.T, params.n
+    # Index n stands for the window end, which is never cleared.
+    cleared = np.zeros(n + 1, dtype=bool)
+    cleared[list(params.pattern().cleared)] = True
+    open_index = np.flatnonzero(~cleared)
+    ts = flow.timestamps
+    q = (ts - o) / T
+    nearest = np.round(q)
+    snap = np.abs(q - nearest) <= 1e-9 * np.maximum(1.0, np.abs(q))
+    index = np.where(snap, nearest, np.floor(q))
+    pos = np.flatnonzero((ts >= o) & (index >= 0) & (index < n))
+    pos = pos[cleared[index[pos].astype(np.intp)]]
+    out = ts.copy()
+    out[pos] = o + open_index[np.searchsorted(open_index, index[pos])] * T
     return Flow(timestamps=out, duration=flow.duration)
 
 
@@ -161,18 +158,16 @@ def detect(flow: Flow, params: WatermarkParams) -> DetectionResult:
         raise FlowTooShort(
             f"flow duration {flow.duration} is shorter than the detector span {needed}"
         )
-    cleared = sorted(params.pattern().cleared)
+    cleared = np.array(sorted(params.pattern().cleared), dtype=float)
     margin = params.delta / 2.0
     ts = flow.timestamps
     best = 0.0
     for candidate in offset_candidates(params.o_max, params.delta):
-        silent = 0
-        for i in cleared:
-            lo = candidate + i * params.T + margin
-            hi = candidate + (i + 1) * params.T - margin
-            if flow.count_in(lo, hi) == 0:
-                silent += 1
-        score = silent / len(cleared)
+        # Interval i is silent when flow.count_in(lo[i], hi[i]) == 0.
+        lo = candidate + cleared * params.T + margin
+        hi = candidate + (cleared + 1) * params.T - margin
+        silent = np.searchsorted(ts, hi, side="left") == np.searchsorted(ts, lo, side="left")
+        score = int(np.count_nonzero(silent)) / cleared.size
         if score == 1.0:
             return DetectionResult(detected=True, recovered_offset=candidate, match_score=1.0)
         best = max(best, score)

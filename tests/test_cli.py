@@ -306,6 +306,16 @@ class TestAttackScenario:
         assert err.count("\n") == 1
         assert "bad.txt:3:" in err
 
+    def test_non_utf8_manifest_is_a_one_line_failure(self, tmp_path, capsys):
+        (tmp_path / "manifest.txt").write_bytes(b"\xff\xfeflow.txt\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ATTACK_SECTION + "\n[experiment]\nmanifest = manifest.txt\n")
+        rc = run_cli("attack", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "manifest.txt" in err
+
     def test_unknown_method_is_config_error(self, tmp_path, marked_setup):
         cfg = tmp_path / "atk.ini"
         cfg.write_text(
@@ -328,6 +338,23 @@ class TestBoundsScenario:
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["min_k"] == 20
         assert report["results"]["base"] == pytest.approx(0.552, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "key, value", [("epsilon", "0"), ("o_max", "-0.9"), ("quantum", "0.2")]
+    )
+    def test_bad_attack_value_is_config_error(self, tmp_path, capsys, key, value):
+        # quantum 0.2 exceeds delta/4 = 0.1125
+        values = {"T": "0.9", "delta": "0.45", "o_max": "0.9", "epsilon": "1e-5", key: value}
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            "[flow]\nmodel = empirical\ntable = 0.175:0.525, 0.35:0.33, 0.45:0.276\n\n"
+            "[attack]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        )
+        rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "out")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: bad [attack] section")
 
     def test_sweep_rows(self, tmp_path):
         cfg = tmp_path / "bounds.ini"

@@ -1,6 +1,9 @@
 """Flow construction, traffic generation, clear-probability math, flow files."""
 
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +47,12 @@ class TestFlow:
         # first of the tied packets keeps the exact value
         assert ts[1] == 0.5
         assert ts[2] == math.nextafter(0.5, math.inf)
+
+    def test_tie_at_largest_float_is_rejected(self):
+        # The nudged tie would be inf.
+        big = sys.float_info.max
+        with pytest.raises(ValueError, match="finite"):
+            Flow(timestamps=[big, big], duration=big)
 
     def test_rejects_negative_timestamp(self):
         with pytest.raises(ValueError):
@@ -100,7 +109,34 @@ def timestamp_lists(values):
     return st.lists(st.one_of(values, st.sampled_from([0.0, 0.25, 1.0])), max_size=40)
 
 
+# Values where the float step is unusual: both zeros, the smallest
+# subnormals, neighbours one ulp apart, and the largest floats.
+TIE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-323, 1.0, math.nextafter(1.0, math.inf),
+    math.nextafter(1.0, -math.inf), 2.0, 1e300, -1e300, sys.float_info.max,
+    -sys.float_info.max, math.nextafter(sys.float_info.max, 0.0),
+)
+
+
+@st.composite
+def tie_heavy_lists(draw):
+    """Runs of repeated values from TIE_VALUES, in shuffled order."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(TIE_VALUES), st.integers(1, 6)), max_size=12))
+    return draw(st.permutations([v for v, count in runs for _ in range(count)]))
+
+
 class TestCanonicalTimestamps:
+    @settings(deadline=None, max_examples=500)
+    @given(values=tie_heavy_lists())
+    def test_tie_heavy_inputs_match_sequential_tie_break(self, values):
+        expected = canonical_reference(values)
+        if not all(map(math.isfinite, expected)):
+            with pytest.raises(ValueError, match="finite"):
+                _canonical_timestamps(values)
+            return
+        out = _canonical_timestamps(values)
+        assert out.tobytes() == np.array(expected, dtype=float).tobytes()
+
     @settings(deadline=None)
     @given(
         # Bounded below the largest float, where a nudged tie would overflow to inf.
@@ -285,6 +321,50 @@ class TestRateCalibration:
             poisson_rate_for_clear_probability(0.5, 0.0)
 
 
+def read_flow_reference(path: Path) -> Flow:
+    """Per-line flow-file parser: the oracle for read_flow's messages."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    duration = float(lines[0][len("# duration="):])
+    timestamps = []
+    prev = -math.inf
+    for lineno, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            value = float(stripped)
+        except ValueError:
+            raise FlowFileError(f"{path}:{lineno}: not a timestamp: {stripped!r}") from None
+        if value < prev:
+            raise FlowFileError(
+                f"{path}:{lineno}: timestamps out of order ({value} after {prev})"
+            )
+        if not 0.0 <= value <= duration:
+            raise FlowFileError(
+                f"{path}:{lineno}: timestamp {value} outside [0, {duration}]"
+            )
+        timestamps.append(value)
+        prev = value
+    return Flow(timestamps=timestamps, duration=duration)
+
+
+# Lines spliced into an otherwise valid body: blanks, garbage, nan/inf,
+# out-of-range and out-of-order values, forms float() accepts, and a form
+# feed, which splitlines() counts as a line break.
+ODD_LINES = (
+    "", "   ", "\t", "x", "1..2", "nan", "-inf", "inf", "-1.0", "12.5", " 3.5 ",
+    "1_0", "5.0", "0.0", "-0.0", "1e-400", "0x10", "\x0c",
+)
+
+
+@st.composite
+def flow_file_bodies(draw):
+    lines = [repr(v) for v in sorted(draw(st.lists(st.floats(0.0, 10.0), max_size=20)))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(ODD_LINES)))
+    return lines
+
+
 class TestFlowFiles:
     def test_round_trip(self, tmp_path):
         flow = generate_flow(PoissonModel(8.0), 4.0, seed=21)
@@ -350,6 +430,33 @@ class TestFlowFiles:
         path.write_bytes("# duration=2.0\n0.5\u00b5\n".encode("utf-8"))
         with pytest.raises(FlowFileError, match="ASCII"):
             read_flow(path)
+
+    @settings(deadline=None)
+    @given(values=timestamp_lists(st.floats(0.0, 10.0)))
+    def test_write_then_read_is_identity(self, values):
+        flow = Flow(timestamps=values, duration=10.0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flow.txt"
+            write_flow(flow, path)
+            back = read_flow(path)
+        assert back.timestamps.tobytes() == flow.timestamps.tobytes()
+        assert back.duration == flow.duration
+
+    @settings(deadline=None, max_examples=300)
+    @given(body=flow_file_bodies())
+    def test_matches_per_line_parser(self, body):
+        text = "# duration=10.0\n" + "\n".join(body) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "flow.txt"
+            path.write_text(text, encoding="ascii")
+            try:
+                expected = read_flow_reference(path)
+            except FlowFileError as exc:
+                with pytest.raises(FlowFileError) as raised:
+                    read_flow(path)
+                assert str(raised.value) == str(exc)
+            else:
+                assert read_flow(path) == expected
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowmark import (
     ClearPattern,
+    DetectionResult,
     Flow,
     PoissonModel,
     WatermarkParams,
@@ -90,7 +93,110 @@ class TestDerivePattern:
             ClearPattern(n=4, cleared=frozenset())
 
 
+def interval_index_reference(t: float, o: float, T: float) -> int:
+    """Index i with t in [o + i*T, o + (i+1)*T), snapping ulp-level boundary noise."""
+    q = (t - o) / T
+    nearest = round(q)
+    if abs(q - nearest) <= 1e-9 * max(1.0, abs(q)):
+        return int(nearest)
+    return int(math.floor(q))
+
+
+def embed_reference(flow: Flow, params: WatermarkParams) -> Flow:
+    """Per-packet embedding loop: the oracle for the vectorised embed."""
+    cleared = params.pattern().cleared
+    out = flow.timestamps.tolist()
+    for pos, t in enumerate(out):
+        if t < params.o:
+            continue
+        i = interval_index_reference(t, params.o, params.T)
+        if i < 0 or i >= params.n or i not in cleared:
+            continue
+        j = i + 1
+        while j < params.n and j in cleared:
+            j += 1
+        out[pos] = params.o + j * params.T
+    return Flow(timestamps=out, duration=flow.duration)
+
+
+def detect_reference(flow: Flow, params: WatermarkParams) -> DetectionResult:
+    """Per-interval count_in detector: the oracle for the vectorised detect."""
+    cleared = sorted(params.pattern().cleared)
+    margin = params.delta / 2.0
+    best = 0.0
+    for candidate in offset_candidates(params.o_max, params.delta):
+        silent = 0
+        for i in cleared:
+            lo = candidate + i * params.T + margin
+            hi = candidate + (i + 1) * params.T - margin
+            if flow.count_in(lo, hi) == 0:
+                silent += 1
+        score = silent / len(cleared)
+        if score == 1.0:
+            return DetectionResult(detected=True, recovered_offset=candidate, match_score=1.0)
+        best = max(best, score)
+    return DetectionResult(detected=False, recovered_offset=None, match_score=best)
+
+
+# Relative distances (in units of max(1, |i|)) from interval boundary i:
+# on it, inside and around the 1e-9 snapping tolerance, and mid-interval.
+BOUNDARY_NUDGES = (0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9, 0.5)
+
+
+@st.composite
+def embed_cases(draw):
+    T = draw(st.sampled_from([0.1, 0.3, 0.9, 1.0, 2.5]))
+    o_max = draw(st.sampled_from([0.0, 0.45, 0.9, 1.7]))
+    o = draw(st.one_of(st.just(0.0), st.just(o_max), st.floats(0.0, o_max)))
+    n = draw(st.integers(1, 12))
+    params = WatermarkParams(
+        T=T, o=o, o_max=o_max, delta=T / 2, n=n, key=draw(st.integers(0, 2**32)),
+        # High fractions give runs of cleared intervals that reach the window end.
+        clear_fraction=draw(st.floats(0.05, 0.95)),
+    )
+    duration = o + n * T + draw(st.sampled_from([0.0, T]))
+    boundary = st.builds(
+        lambda i, d: o + (i + d * max(1, abs(i))) * T,
+        st.integers(-2, n + 2),
+        st.sampled_from(BOUNDARY_NUDGES),
+    )
+    ts = draw(st.lists(st.one_of(boundary, st.floats(0.0, duration)), max_size=40))
+    return Flow(timestamps=[t for t in ts if 0.0 <= t <= duration], duration=duration), params
+
+
+@st.composite
+def detect_cases(draw):
+    T = draw(st.sampled_from([0.3, 0.9, 1.0]))
+    delta = T / draw(st.sampled_from([1, 2, 3, 4]))
+    o_max = draw(st.sampled_from([0.0, delta, 0.9, 2.5 * delta]))
+    n = draw(st.integers(1, 10))
+    params = WatermarkParams(
+        T=T, o=0.0, o_max=o_max, delta=delta, n=n, key=draw(st.integers(0, 2**32)),
+        clear_fraction=draw(st.floats(0.05, 0.95)),
+    )
+    duration = o_max + n * T
+    margin = delta / 2.0
+    # Packets exactly on the lo or hi edge of some candidate's sub-window.
+    edge = st.builds(
+        lambda c, i, upper: c + (i + 1) * T - margin if upper else c + i * T + margin,
+        st.sampled_from(offset_candidates(o_max, delta)),
+        st.integers(0, n - 1),
+        st.booleans(),
+    )
+    ts = draw(st.lists(st.one_of(edge, st.floats(0.0, duration)), max_size=30))
+    return Flow(timestamps=[t for t in ts if 0.0 <= t <= duration], duration=duration), params
+
+
 class TestEmbed:
+    @settings(deadline=None, max_examples=300)
+    @given(case=embed_cases())
+    def test_matches_per_packet_loop(self, case):
+        flow, params = case
+        marked = embed(flow, params)
+        expected = embed_reference(flow, params)
+        assert marked.timestamps.tobytes() == expected.timestamps.tobytes()
+        assert marked.duration == expected.duration
+
     def test_golden_single_cleared_interval(self):
         params = small_params(KEY_CLEARS_FIRST_OF_TWO)
         flow = Flow(timestamps=[0.1, 0.5, 1.3], duration=2.0)
@@ -195,6 +301,13 @@ class TestOffsetCandidates:
 
 
 class TestDetect:
+    @settings(deadline=None, max_examples=300)
+    @given(case=detect_cases())
+    def test_matches_count_in_loop(self, case):
+        flow, params = case
+        # repr also tells a numpy scalar from a float.
+        assert repr(detect(flow, params)) == repr(detect_reference(flow, params))
+
     def test_round_trip_known_offsets(self):
         params = WatermarkParams(
             T=0.9, o=0.45, o_max=0.9, delta=0.45, n=20, key=42, clear_fraction=0.5
