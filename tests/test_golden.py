@@ -94,6 +94,18 @@ CASES = {
         [["montecarlo", "--config", "mc.ini", "--out", "mc", "--seed", "4", "--trials", "100"]],
         "mc/montecarlo.csv",
     ),
+    # 15.3 s flows: about 44 packets each, so a few trials fill a draw block.
+    "montecarlo-bnb-15s": (
+        {"mc.ini": MC_FLOW + "duration = 15.3\n\n" + ATTACK + "\n[experiment]\nk = 5\nmethod = bnb\n"},
+        [["montecarlo", "--config", "mc.ini", "--out", "mc", "--seed", "8", "--trials", "300"]],
+        "mc/montecarlo.csv",
+    ),
+    # 0.9 s flows over enough trials to span many draw blocks.
+    "montecarlo-bnb-blocks": (
+        {"mc.ini": MC_FLOW + "\n" + ATTACK + "\n[experiment]\nk = 5\nmethod = bnb\n"},
+        [["montecarlo", "--config", "mc.ini", "--out", "mc", "--seed", "11", "--trials", "2000"]],
+        "mc/montecarlo.csv",
+    ),
     "bounds": (
         {"b.ini": EMPIRICAL + "\n" + ATTACK},
         [["bounds", "--config", "b.ini", "--out", "b"]],
@@ -133,6 +145,8 @@ GOLDEN = {
     "embed": "ef3f836568581e51320edbb13cdf5d926a55386cd7d6a8eea50bdc052e06162e",
     "generate": "166a1b779a78249cd83d2f58e609ed7c134158c403bb9ef133ecbcc2b70bd03e",
     "montecarlo-bnb": "126e6a158d17d92837fc4fbfb3cb17ce7f95df65f15496cc635ac9d000a62474",
+    "montecarlo-bnb-15s": "bfe467f870e91324da30bb2f9719f7433506a4ff42b1544082a29943ff4ffa9e",
+    "montecarlo-bnb-blocks": "cc426e0aa627eeee929e5f7cad4d46ae4d268ca13cca133164c58780dd0aab5a",
     "montecarlo-bnb-long": "d0196b804fd7510373d72e1a4e8977392b41aafb0a11fe8f3e4ba6f2a20307f7",
     "montecarlo-exhaustive": "126e6a158d17d92837fc4fbfb3cb17ce7f95df65f15496cc635ac9d000a62474",
     "montecarlo-fixed": "17ecb7a84e523d01508905333c27cee12bf9b0f67b3b33d02600dcb6087d1e86",
