@@ -463,7 +463,7 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
     elif k <= 0:
         raise ConfigError(f"[experiment] k must be positive, got {k}")
 
-    mc = monte_carlo_attack(_ATTACK_METHODS[method], acfg, model, duration, k, trials, seed, p)
+    mc = monte_carlo_attack(method, acfg, model, duration, k, trials, seed, p)
     passed = mc.rate <= mc.ceiling
     half_width = 1.96 * math.sqrt(max(mc.rate * (1.0 - mc.rate), 1.0 / trials) / trials)
 

@@ -20,7 +20,7 @@ class NonGenerativeModel(FlowmarkError):
 
 
 class InvalidDuration(FlowmarkError):
-    """Flow duration must be positive."""
+    """Flow duration must be positive, with a finite expected packet count."""
 
 
 class NegativeWindow(FlowmarkError):

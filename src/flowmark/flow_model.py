@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -173,11 +173,10 @@ REFERENCE_CLEAR_TABLE = EmpiricalModel(
 )
 
 
-def generate_flow(model: FlowModel, duration: float, seed: int) -> Flow:
-    """Synthesize a flow of the given duration from a generative model.
+def draw_width(model: FlowModel, duration: float) -> int:
+    """Gaps drawn first for one flow: the expected packet count plus 4 sigma plus 16.
 
-    Only Poisson models can generate; the draw is bit-identical for a
-    given (model, duration, seed) triple.
+    Also the check that the model can generate a flow of this duration.
     """
     if not isinstance(model, PoissonModel):
         raise NonGenerativeModel(
@@ -185,24 +184,80 @@ def generate_flow(model: FlowModel, duration: float, seed: int) -> Flow:
         )
     if not math.isfinite(duration) or duration <= 0:
         raise InvalidDuration(f"duration must be positive, got {duration}")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / model.rate
     expected = model.rate * duration
-    chunk = max(16, int(expected + 4.0 * math.sqrt(expected) + 16))
-    times: list[np.ndarray] = []
-    total = 0.0
-    while True:
-        gaps = rng.exponential(scale=scale, size=chunk)
-        arrivals = total + np.cumsum(gaps)
-        times.append(arrivals)
-        total = float(arrivals[-1])
-        if total > duration:
-            break
-        chunk = max(16, chunk // 4)
-    ts = np.concatenate(times)
-    ts = ts[ts < duration]
-    return Flow(timestamps=ts, duration=duration)
+    if not math.isfinite(expected):
+        raise InvalidDuration(
+            f"rate {model.rate} over duration {duration} expects {expected} packets"
+        )
+    return max(16, int(expected + 4.0 * math.sqrt(expected) + 16))
+
+
+def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Raw arrival times, one row per seed, and each row's count below duration.
+
+    Row r draws draw_width gaps from default_rng(seeds[r]) and, while its last
+    arrival is not past duration, further chunks of a quarter of the last
+    size (at least 16).  Shorter rows are padded with inf.
+    """
+    chunk = draw_width(model, duration)
+    rngs = [np.random.default_rng(check_seed(seed)) for seed in seeds]
+    scale = 1.0 / model.rate
+    arrivals = np.empty((len(rngs), chunk))
+    for row, rng in zip(arrivals, rngs):
+        row[:] = rng.exponential(scale=scale, size=chunk)
+    np.cumsum(arrivals, axis=1, out=arrivals)  # row by row, as the 1-D cumsum
+    extra: dict[int, np.ndarray] = {}
+    for r in np.flatnonzero(arrivals[:, -1] <= duration).tolist():
+        times, size, total = [], chunk, float(arrivals[r, -1])
+        while total <= duration:
+            size = max(16, size // 4)
+            times.append(total + np.cumsum(rngs[r].exponential(scale=scale, size=size)))
+            total = float(times[-1][-1])
+        extra[r] = np.concatenate(times)
+    if extra:
+        width = chunk + max(map(len, extra.values()))
+        arrivals = np.pad(arrivals, ((0, 0), (0, width - chunk)), constant_values=math.inf)
+        for r, times in extra.items():
+            arrivals[r, chunk : chunk + times.size] = times
+    return arrivals, np.count_nonzero(arrivals < duration, axis=1)
+
+
+def generate_flow(model: FlowModel, duration: float, seed: int) -> Flow:
+    """Synthesize a flow of the given duration from a generative model.
+
+    Only Poisson models can generate; the draw is bit-identical for a
+    given (model, duration, seed) triple.
+    """
+    arrivals, counts = _draw(model, duration, [seed])
+    return Flow(timestamps=arrivals[0, : counts[0]], duration=duration)
+
+
+class FlowBlock(NamedTuple):
+    """Flows drawn together: flow r is arrivals[r, :counts[r]] over durations[r]."""
+
+    arrivals: np.ndarray
+    counts: np.ndarray
+    durations: np.ndarray
+
+
+def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> FlowBlock:
+    """One flow per seed, each bit-identical to generate_flow(model, duration, seed).
+
+    Flow's checks run on all rows at once; a row that fails one (in practice
+    a tie) is passed through Flow, which canonicalises it or raises.
+    """
+    arrivals, counts = _draw(model, duration, seeds)
+    durations = np.full(len(seeds), float(duration))
+    # Counted arrivals lie below duration, so they are finite; Flow's other
+    # checks are that they start at 0 or later and strictly increase.
+    inside = np.arange(arrivals.shape[1]) < counts[:, None]
+    rising = (arrivals[:, 1:] > arrivals[:, :-1]) | ~inside[:, 1:]
+    valid = rising.all(axis=1) & ((arrivals[:, 0] >= 0.0) | (counts == 0))
+    for r in np.flatnonzero(~valid).tolist():
+        flow = Flow(timestamps=arrivals[r, : counts[r]], duration=duration)
+        arrivals[r, : counts[r]] = flow.timestamps
+        durations[r] = flow.duration
+    return FlowBlock(arrivals, counts, durations)
 
 
 def clear_probability(model: FlowModel, t: float) -> float:

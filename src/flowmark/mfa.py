@@ -11,17 +11,18 @@ shrink what is really clear and never reports a window containing a packet.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analysis import ceil_snapped, fp_bound, offset_multiplier
 from .errors import BadDelta, FlowFileError, NegativeWindow, SearchSpaceTooLarge
-from .flow_model import Flow, estimate_clear_probability
+from .flow_model import Flow, FlowBlock, estimate_clear_probability
 
 
 @dataclass(frozen=True)
@@ -90,21 +91,18 @@ _BATCH_EDGES = 4096
 
 
 def _snap_batch(
-    flows: Sequence[Flow], shifts: np.ndarray, quantum: float, min_units: int
+    edges: np.ndarray, sizes: Sequence[int], shifts: np.ndarray, quantum: float, min_units: int
 ) -> list[list[list[tuple[int, int]]]]:
     """Grid windows of a batch of flows for every shift, in one numpy pass.
 
-    Each gap (s, e), shifted by -shift, is snapped inward onto the quantum
-    grid.  The guard loops re-check the final float expressions the soundness
-    audit uses, so a unit of rounding noise can only shrink a window further.
-    The edge pair joining one flow's duration to the next flow's 0 runs
-    backwards and snaps to nothing.
+    edges holds, per flow, 0, its timestamps and its duration; sizes[f] is
+    flow f's edge count.  Each gap (s, e), shifted by -shift, is snapped
+    inward onto the quantum grid.  The guard loops re-check the final float
+    expressions the soundness audit uses, so a unit of rounding noise can
+    only shrink a window further.  The edge pair joining one flow's duration
+    to the next flow's 0 runs backwards and snaps to nothing.
     """
-    starts = [0, *itertools.accumulate(len(flow) + 2 for flow in flows)]
-    edges = np.zeros(starts[-1])  # per flow: 0, its timestamps, its duration
-    for flow, a, b in zip(flows, starts, starts[1:]):
-        edges[a + 1 : b - 1] = flow.timestamps
-        edges[b - 1] = flow.duration
+    starts = [0, *itertools.accumulate(sizes)]
     s, e = edges[:-1], edges[1:]
     sh = shifts[:, None]
     grid = (edges - sh) / quantum
@@ -116,7 +114,7 @@ def _snap_batch(
         hi -= over
     keep = (hi > lo) & (hi - lo >= min_units)
     # Flat indices run shift-major, then by gap, so each (shift, flow) is one run.
-    nf = len(flows)
+    nf = len(sizes)
     bounds = [j * s.size + b for j in range(len(shifts)) for b in starts[:-1]] + [keep.size]
     cuts = np.searchsorted(np.flatnonzero(keep), bounds).tolist()
     pairs = list(zip(lo[keep].tolist(), hi[keep].tolist()))
@@ -126,21 +124,53 @@ def _snap_batch(
     ]
 
 
+def _snap_edges(
+    edges: np.ndarray, sizes: Sequence[int], shifts: Sequence[float], quantum: float, min_units: int
+) -> list[list[list[tuple[int, int]]]]:
+    """windows[flow_index][shift_index] of flows laid out as in _snap_batch.
+
+    Flows are snapped in batches of at most _BATCH_EDGES edges (a longer
+    flow is a batch of its own).
+    """
+    shift_arr = np.asarray(shifts, dtype=float)
+    if not (edges.max() + np.abs(shift_arr).max()) / quantum < 2.0**62:
+        raise SearchSpaceTooLarge("flows span more than the 2**62 quanta the grid indexes")
+    out: list[list[list[tuple[int, int]]]] = []
+    first = start = size = 0  # the open batch: its first flow, first edge, edge count
+    for i, n in enumerate(sizes):
+        if i > first and size + n > _BATCH_EDGES:
+            batch = edges[start : start + size]
+            out += _snap_batch(batch, sizes[first:i], shift_arr, quantum, min_units)
+            first, start, size = i, start + size, 0
+        size += n
+    return out + _snap_batch(edges[start:], sizes[first:], shift_arr, quantum, min_units)
+
+
 def _snapped_windows(
     flows: Sequence[Flow], shifts: Sequence[float], quantum: float, min_units: int
 ) -> list[list[list[tuple[int, int]]]]:
     """windows[flow_index][shift_index]: (lo, hi) grid indices sorted by lo."""
-    if not (max(f.duration for f in flows) + max(map(abs, shifts))) / quantum < 2.0**62:
-        raise SearchSpaceTooLarge("flows span more than the 2**62 quanta the grid indexes")
-    shift_arr = np.asarray(shifts, dtype=float)
-    out: list[list[list[tuple[int, int]]]] = []
-    start = size = 0
-    for i, flow in enumerate(flows):
-        if i > start and size + len(flow) + 2 > _BATCH_EDGES:
-            out += _snap_batch(flows[start:i], shift_arr, quantum, min_units)
-            start, size = i, 0
-        size += len(flow) + 2
-    return out + _snap_batch(flows[start:], shift_arr, quantum, min_units)
+    sizes = [len(flow) + 2 for flow in flows]
+    edges = np.zeros(sum(sizes))  # per flow: 0, its timestamps, its duration
+    for flow, b in zip(flows, itertools.accumulate(sizes)):
+        edges[b - len(flow) - 1 : b - 1] = flow.timestamps
+        edges[b - 1] = flow.duration
+    return _snap_edges(edges, sizes, shifts, quantum, min_units)
+
+
+def block_window_lists(
+    block: FlowBlock, cfg: AttackConfig, shifts: Sequence[float]
+) -> list[list[list[tuple[int, int]]]]:
+    """_window_lists of every flow of a block, from one edge array cut by one mask."""
+    rows, width = block.arrivals.shape
+    edges = np.empty((rows, width + 2))
+    edges[:, 0] = 0.0
+    edges[:, 1:-1] = block.arrivals
+    edges[:, -1] = block.durations
+    keep = np.ones(edges.shape, dtype=bool)
+    keep[:, 1:-1] = np.arange(width) < block.counts[:, None]
+    sizes = (block.counts + 2).tolist()
+    return _snap_edges(edges[keep], sizes, shifts, cfg.quantum, _min_units(cfg))
 
 
 def _intersect(windows_a: list, windows_b: list, min_units: int) -> list:
@@ -217,38 +247,33 @@ def _finding(
     )
 
 
+def _min_units(cfg: AttackConfig) -> int:
+    """Shortest qualifying window, in quanta."""
+    return ceil_snapped(cfg.min_length / cfg.quantum)
+
+
 def _window_lists(
     flows: Sequence[Flow], cfg: AttackConfig, shifts: Sequence[float]
 ) -> list[list[list[tuple[int, int]]]]:
     """windows[flow_index][shift_index], each sorted by window start."""
-    min_units = ceil_snapped(cfg.min_length / cfg.quantum)
-    return _snapped_windows(flows, shifts, cfg.quantum, min_units)
+    return _snapped_windows(flows, shifts, cfg.quantum, _min_units(cfg))
 
 
-def _check_flows(flows: Sequence[Flow]) -> None:
-    if not flows:
-        raise ValueError("attack needs at least one flow")
+# A list search's outcome: configurations searched, then the first common
+# grid window and the offset index of each flow, or None twice when absent.
+SearchResult = tuple[int, Optional[tuple[int, int]], Optional[Sequence[int]]]
 
 
-def _search(
-    flows: Sequence[Flow],
-    cfg: AttackConfig,
-    offsets: Sequence[float],
-    clear_prob: Optional[float],
-) -> AttackFinding:
+def _bnb(lists: Sequence[list], min_units: int) -> SearchResult:
     """Branch-and-bound over per-flow offsets, flow by flow, without recursion.
 
     Assignments are explored in lexicographic order of offset index, the
     order of the exhaustive search, so the first hit is the same.  A branch
     dies as soon as the windows common to the flows so far are empty, so
-    whole sub-spaces vanish without enumeration.  configurations_searched
-    counts pruned branches plus complete assignments reached.  The bound
-    uses multiplier len(offsets), one alignment per offset guess.
+    whole sub-spaces vanish without enumeration.  The count is of pruned
+    branches plus complete assignments reached.
     """
-    _check_flows(flows)
-    k, count = len(flows), len(offsets)
-    min_units = ceil_snapped(cfg.min_length / cfg.quantum)
-    lists = _window_lists(flows, cfg, offsets)
+    k, count = len(lists), len(lists[0])
     searched = 0
     path = [0]  # offset index under trial at each level; the last is the open one
     common: list[list] = []  # common[i]: windows shared by flows 0..i under path
@@ -267,25 +292,27 @@ def _search(
             searched += 1  # pruned branch
             path[-1] += 1
         elif level == k - 1:
-            searched += 1  # complete assignment
-            assignment = tuple(offsets[i] for i in path)
-            return _finding(flows, cfg, count, searched, clear_prob, survived[0], assignment)
+            return searched + 1, survived[0], path  # a complete assignment
         else:
             common.append(survived)
             path.append(0)
-    return _finding(flows, cfg, count, searched, clear_prob)
+    return searched, None, None
 
 
-def mfa_fixed_offset(
-    flows: Sequence[Flow], cfg: AttackConfig, *, clear_prob: Optional[float] = None
-) -> AttackFinding:
-    """Common-offset attack: the search with the single offset 0.
-
-    The earliest common window of length at least T - delta wins.  The
-    reported bound uses multiplier 1 (no offset uncertainty), and
-    configurations_searched is always 1.
-    """
-    return _search(flows, cfg, [0.0], clear_prob)
+def _exhaustive(lists: Sequence[list], min_units: int) -> SearchResult:
+    """Every per-flow offset assignment in lexicographic order, up to the first hit."""
+    k, count = len(lists), len(lists[0])
+    searched = 0
+    for assignment in itertools.product(range(count), repeat=k):
+        searched += 1
+        common = lists[0][assignment[0]]
+        for fi in range(1, k):
+            if not common:
+                break
+            common = _intersect(common, lists[fi][assignment[fi]], min_units)
+        if common:
+            return searched, common[0], assignment
+    return searched, None, None
 
 
 def _offset_grid(cfg: AttackConfig) -> list[float]:
@@ -294,6 +321,59 @@ def _offset_grid(cfg: AttackConfig) -> list[float]:
 
 
 EXHAUSTIVE_CAP = 10**6
+
+# Attack methods by name: the offsets each tries per flow, and its search.
+_METHODS = {
+    "fixed": (lambda cfg: [0.0], _bnb),
+    "exhaustive": (_offset_grid, _exhaustive),
+    "bnb": (_offset_grid, _bnb),
+}
+
+
+def attack_plan(
+    method: str, cfg: AttackConfig, k: int, cap: int = EXHAUSTIVE_CAP
+) -> tuple[list[float], Callable[[Sequence[list]], SearchResult]]:
+    """Offset grid of the named method, and its search over k flows' window lists.
+
+    The exhaustive method errors if its multiplier ** k space exceeds the cap.
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown attack method {method!r}; expected one of {sorted(_METHODS)}")
+    if k < 1:
+        raise ValueError("attack needs at least one flow")
+    grid, search = _METHODS[method]
+    offsets = grid(cfg)
+    if method == "exhaustive" and (space := len(offsets) ** k) > cap:
+        raise SearchSpaceTooLarge(
+            f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
+        )
+    return offsets, functools.partial(search, min_units=_min_units(cfg))
+
+
+def _attack(
+    method: str,
+    flows: Sequence[Flow],
+    cfg: AttackConfig,
+    clear_prob: Optional[float],
+    cap: int = EXHAUSTIVE_CAP,
+) -> AttackFinding:
+    """Run the named method on the flows; the bound uses multiplier len(offsets)."""
+    offsets, search = attack_plan(method, cfg, len(flows), cap)
+    searched, window, path = search(_window_lists(flows, cfg, offsets))
+    assignment = None if path is None else tuple(offsets[i] for i in path)
+    return _finding(flows, cfg, len(offsets), searched, clear_prob, window, assignment)
+
+
+def mfa_fixed_offset(
+    flows: Sequence[Flow], cfg: AttackConfig, *, clear_prob: Optional[float] = None
+) -> AttackFinding:
+    """Common-offset attack: the branch-and-bound search with the single offset 0.
+
+    The earliest common window of length at least T - delta wins.  The
+    reported bound uses multiplier 1 (no offset uncertainty), and
+    configurations_searched is always 1.
+    """
+    return _attack("fixed", flows, cfg, clear_prob)
 
 
 def mfa_varied_offset_exhaustive(
@@ -309,30 +389,7 @@ def mfa_varied_offset_exhaustive(
     if the multiplier ** k space exceeds the cap.  This is the reference
     enumeration the branch-and-bound search is checked against.
     """
-    _check_flows(flows)
-    offsets = _offset_grid(cfg)
-    k = len(flows)
-    space = len(offsets) ** k
-    if space > cap:
-        raise SearchSpaceTooLarge(
-            f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
-        )
-    min_units = ceil_snapped(cfg.min_length / cfg.quantum)
-    lists = _window_lists(flows, cfg, offsets)
-    searched = 0
-    for assignment in itertools.product(range(len(offsets)), repeat=k):
-        searched += 1
-        common = lists[0][assignment[0]]
-        for fi in range(1, k):
-            if not common:
-                break
-            common = _intersect(common, lists[fi][assignment[fi]], min_units)
-        if common:
-            offsets_used = tuple(offsets[oi] for oi in assignment)
-            return _finding(
-                flows, cfg, len(offsets), searched, clear_prob, common[0], offsets_used
-            )
-    return _finding(flows, cfg, len(offsets), searched, clear_prob)
+    return _attack("exhaustive", flows, cfg, clear_prob, cap)
 
 
 def mfa_varied_offset_bnb(
@@ -344,7 +401,7 @@ def mfa_varied_offset_bnb(
     exhaustive search, with no cap on the search space and no recursion, so
     any k that min_flows prescribes can be searched.
     """
-    return _search(flows, cfg, _offset_grid(cfg), clear_prob)
+    return _attack("bnb", flows, cfg, clear_prob)
 
 
 def read_manifest(path: str | Path) -> list[Path]:

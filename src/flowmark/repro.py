@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .analysis import countermeasure_is_effective, countermeasure_threshold, fp_bound, min_flows
-from .flow_model import PoissonModel, generate_flow, poisson_rate_for_clear_probability
-from .mfa import AttackConfig, AttackFinding, mfa_varied_offset_bnb
+from .flow_model import (
+    PoissonModel,
+    draw_width,
+    generate_block,
+    poisson_rate_for_clear_probability,
+)
+from .mfa import _BATCH_EDGES, AttackConfig, attack_plan, block_window_lists
 from .seeds import derive_seed
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
@@ -120,7 +125,7 @@ class MonteCarloRate(NamedTuple):
 
 
 def monte_carlo_attack(
-    attack: Callable[..., AttackFinding],
+    method: str,
     cfg: AttackConfig,
     model: PoissonModel,
     duration: float,
@@ -129,23 +134,27 @@ def monte_carlo_attack(
     seed: int,
     clear_prob: float,
 ) -> MonteCarloRate:
-    """False-positive rate of an attack on k unwatermarked flows per trial.
+    """False-positive rate of the named attack on k unwatermarked flows per trial.
 
     Flow i of trial t is drawn from `model` over `duration` seconds with
     seed derive_seed(seed, "mc", t, i), and the attack runs with the given
-    clear probability, so its bound is the same in every trial.
+    clear probability, so its bound is the same in every trial.  Trials run
+    in blocks: each block's flows are drawn and snapped together, about one
+    snapping batch at a time, then each trial's windows are searched.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    width = draw_width(model, duration)
+    offsets, search = attack_plan(method, cfg, k)
+    bound = fp_bound(k, clear_prob, len(offsets)).clamped
+    per_block = max(1, _BATCH_EDGES // (k * (width + 2)))
     hits = 0
-    for trial in range(trials):
-        flows = [
-            generate_flow(model, duration, derive_seed(seed, "mc", trial, i))
-            for i in range(k)
-        ]
-        finding = attack(flows, cfg, clear_prob=clear_prob)
-        hits += finding.present
-    bound = finding.fp_bound_at_k
+    for first in range(0, trials, per_block):
+        block = range(first, min(trials, first + per_block))
+        seeds = [derive_seed(seed, "mc", t, i) for t in block for i in range(k)]
+        lists = block_window_lists(generate_block(model, duration, seeds), cfg, offsets)
+        for j in range(0, len(lists), k):
+            hits += search(lists[j : j + k])[1] is not None
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     return MonteCarloRate(hits, hits / trials, bound, bound + 3.0 * sigma)
 
@@ -166,7 +175,7 @@ def monte_carlo_case(
     """
     cfg = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
     model = PoissonModel(poisson_rate_for_clear_probability(clear_prob, cfg.min_length))
-    mc = monte_carlo_attack(mfa_varied_offset_bnb, cfg, model, cfg.T, k, trials, seed, clear_prob)
+    mc = monte_carlo_attack("bnb", cfg, model, cfg.T, k, trials, seed, clear_prob)
     case = ReproCase(
         name="mfa-false-positive-rate",
         expected=f"rate <= {mc.ceiling:.4g} (bound {mc.fp_bound:.4g} + 3 sigma)",

@@ -156,7 +156,7 @@ def test_criterion_08_monte_carlo_rate_below_bound():
     start = time.perf_counter()
     # flows span one interval length so each offset assignment contributes a
     # single alignment, matching the per-assignment accounting of the bound
-    mc = monte_carlo_attack(mfa_varied_offset_bnb, cfg, model, cfg.T, k, trials, 0, 0.276)
+    mc = monte_carlo_attack("bnb", cfg, model, cfg.T, k, trials, 0, 0.276)
     elapsed = time.perf_counter() - start
     rate = mc.hits / trials
     sigma = math.sqrt(bound * (1.0 - bound) / trials)

@@ -182,6 +182,15 @@ class TestGenerateScenario:
         rc = run_cli("generate", "--config", bad, "--out", tmp_path / "o", "--seed", "1")
         assert rc == EXIT_CONFIG
 
+    def test_non_finite_packet_count_is_a_one_line_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text(GEN_INI.replace("rate = 3.0", "rate = 1e308"))
+        rc = run_cli("generate", "--config", cfg, "--out", tmp_path / "o", "--seed", "7")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and "packets" in err
+
     def test_parameter_echo_round_trips(self, tmp_path, gen_config):
         spec = ExperimentSpec(
             scenario="generate", out_dir=tmp_path / "out", config_path=gen_config, seed=7
@@ -443,6 +452,15 @@ class TestMonteCarloScenario:
         rc = run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "o", "--seed", "1")
         assert rc == EXIT_INFEASIBLE
         assert "base" in capsys.readouterr().err
+
+    def test_non_finite_packet_count_is_a_one_line_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(self.MC_INI.replace("\n\n[attack]", "\nduration = 1e308\n\n[attack]"))
+        rc = run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "o", "--seed", "3")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and "packets" in err
 
     def test_zero_trials_is_config_error(self, tmp_path):
         cfg = tmp_path / "mc.ini"

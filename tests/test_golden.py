@@ -96,7 +96,8 @@ CASES = {
     ),
     # 15.3 s flows: about 44 packets each, so a few trials fill a draw block.
     "montecarlo-bnb-15s": (
-        {"mc.ini": MC_FLOW + "duration = 15.3\n\n" + ATTACK + "\n[experiment]\nk = 5\nmethod = bnb\n"},
+        {"mc.ini": MC_FLOW + "duration = 15.3\n\n" + ATTACK
+                   + "\n[experiment]\nk = 5\nmethod = bnb\n"},
         [["montecarlo", "--config", "mc.ini", "--out", "mc", "--seed", "8", "--trials", "300"]],
         "mc/montecarlo.csv",
     ),
