@@ -124,26 +124,33 @@ def _snap_batch(
     ]
 
 
-def _snap_edges(
-    edges: np.ndarray, sizes: Sequence[int], shifts: Sequence[float], quantum: float, min_units: int
+def _snap_flows(
+    sizes: Sequence[int],
+    edges_of: Callable[[int, int], np.ndarray],
+    span: float,
+    shifts: Sequence[float],
+    quantum: float,
+    min_units: int,
 ) -> list[list[list[tuple[int, int]]]]:
-    """windows[flow_index][shift_index] of flows laid out as in _snap_batch.
+    """windows[flow_index][shift_index] of flows with the given edge counts.
 
-    Flows are snapped in batches of at most _BATCH_EDGES edges (a longer
-    flow is a batch of its own).
+    edges_of(a, b) lays out flows a to b - 1 as _snap_batch takes them; it
+    is called once per batch, so callers may build edges one batch at a
+    time.  span is the longest flow duration.  Flows are snapped in batches
+    of at most _BATCH_EDGES edges (a longer flow is a batch of its own).
     """
     shift_arr = np.asarray(shifts, dtype=float)
-    if not (edges.max() + np.abs(shift_arr).max()) / quantum < 2.0**62:
+    if not (span + np.abs(shift_arr).max()) / quantum < 2.0**62:
         raise SearchSpaceTooLarge("flows span more than the 2**62 quanta the grid indexes")
     out: list[list[list[tuple[int, int]]]] = []
-    first = start = size = 0  # the open batch: its first flow, first edge, edge count
+    first = size = 0
     for i, n in enumerate(sizes):
         if i > first and size + n > _BATCH_EDGES:
-            batch = edges[start : start + size]
-            out += _snap_batch(batch, sizes[first:i], shift_arr, quantum, min_units)
-            first, start, size = i, start + size, 0
+            out += _snap_batch(edges_of(first, i), sizes[first:i], shift_arr, quantum, min_units)
+            first, size = i, 0
         size += n
-    return out + _snap_batch(edges[start:], sizes[first:], shift_arr, quantum, min_units)
+    last = _snap_batch(edges_of(first, len(sizes)), sizes[first:], shift_arr, quantum, min_units)
+    return out + last
 
 
 def _snapped_windows(
@@ -151,11 +158,16 @@ def _snapped_windows(
 ) -> list[list[list[tuple[int, int]]]]:
     """windows[flow_index][shift_index]: (lo, hi) grid indices sorted by lo."""
     sizes = [len(flow) + 2 for flow in flows]
-    edges = np.zeros(sum(sizes))  # per flow: 0, its timestamps, its duration
-    for flow, b in zip(flows, itertools.accumulate(sizes)):
-        edges[b - len(flow) - 1 : b - 1] = flow.timestamps
-        edges[b - 1] = flow.duration
-    return _snap_edges(edges, sizes, shifts, quantum, min_units)
+
+    def edges_of(a: int, b: int) -> np.ndarray:
+        edges = np.zeros(sum(sizes[a:b]))  # per flow: 0, its timestamps, its duration
+        for flow, end in zip(flows[a:b], itertools.accumulate(sizes[a:b])):
+            edges[end - len(flow) - 1 : end - 1] = flow.timestamps
+            edges[end - 1] = flow.duration
+        return edges
+
+    span = max(flow.duration for flow in flows)
+    return _snap_flows(sizes, edges_of, span, shifts, quantum, min_units)
 
 
 def block_window_lists(
@@ -169,8 +181,13 @@ def block_window_lists(
     edges[:, -1] = block.durations
     keep = np.ones(edges.shape, dtype=bool)
     keep[:, 1:-1] = np.arange(width) < block.counts[:, None]
+    flat = edges[keep]
     sizes = (block.counts + 2).tolist()
-    return _snap_edges(edges[keep], sizes, shifts, cfg.quantum, _min_units(cfg))
+    starts = [0, *itertools.accumulate(sizes)]
+    span = float(block.durations.max())
+    return _snap_flows(
+        sizes, lambda a, b: flat[starts[a] : starts[b]], span, shifts, cfg.quantum, _min_units(cfg)
+    )
 
 
 def _intersect(windows_a: list, windows_b: list, min_units: int) -> list:

@@ -179,6 +179,20 @@ class TestBlockWindowsMatchPerFlowWindows:
             flows = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
         assert block_window_lists(block, cfg, shifts) == _window_lists(flows, cfg, shifts)
 
+    def test_grown_duration_stays_with_its_flow(self):
+        # At shift 1.35 s, grid point -8 lies an ulp past 0.9 s: a flow's last
+        # window ends on -9 if the flow ends at 0.9 s and on -8 if it ends a
+        # few ulps later, as the injected flow does.
+        cfg = AttackConfig(T=0.9, delta=0.45, o_max=1.8, epsilon=1e-5)
+        assert 0.9 < -8 * cfg.quantum + 1.35 <= np.nextafter(np.nextafter(0.9, 1.0), 1.0)
+        seeds = [derive_seed(0, "grown", i) for i in range(40)]
+        shifts = _offset_grid(cfg)
+        with injected({seeds[0]: "end"}, 0.9):
+            block = generate_block(MODEL, 0.9, seeds)
+            flows = [reference_generate_flow(MODEL, 0.9, seed) for seed in seeds]
+        assert flows[0].duration > 0.9
+        assert block_window_lists(block, cfg, shifts) == _window_lists(flows, cfg, shifts)
+
     @pytest.mark.parametrize("duration, count", [(0.9, 1200), (15.3, 130)])
     def test_blocks_past_the_edge_cap(self, duration, count):
         seeds = [derive_seed(3, "cap", i) for i in range(count)]
