@@ -139,8 +139,8 @@ def monte_carlo_attack(
     Flow i of trial t is drawn from `model` over `duration` seconds with
     seed derive_seed(seed, "mc", t, i), and the attack runs with the given
     clear probability, so its bound is the same in every trial.  Trials run
-    in blocks: each block's flows are drawn and snapped together, about one
-    snapping batch at a time, then each trial's windows are searched.
+    in blocks sized to one snapping batch: a block's flows are drawn and
+    snapped together, then each trial's window lists are searched.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -154,7 +154,8 @@ def monte_carlo_attack(
         seeds = [derive_seed(seed, "mc", t, i) for t in block for i in range(k)]
         lists = block_window_lists(generate_block(model, duration, seeds), cfg, offsets)
         for j in range(0, len(lists), k):
-            hits += search(lists[j : j + k])[1] is not None
+            _, window, _ = search(lists[j : j + k])
+            hits += window is not None
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     return MonteCarloRate(hits, hits / trials, bound, bound + 3.0 * sigma)
 

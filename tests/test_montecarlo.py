@@ -113,15 +113,13 @@ def seeded_flows(draw, max_flows: int = 40):
     master = draw(st.integers(0, 2**64 - 1))
     count = draw(st.integers(1, max_flows))
     seeds = [derive_seed(master, "block", i) for i in range(count)]
-    modes = dict(zip(seeds, draw(st.lists(st.sampled_from(MODES), min_size=count,
-                                          max_size=count))))
-    return duration, seeds, modes
+    kinds = draw(st.lists(st.sampled_from(MODES), min_size=count, max_size=count))
+    return duration, seeds, dict(zip(seeds, kinds))
 
 
 def same_flow(a: Flow, b: Flow) -> bool:
-    return a.timestamps.tobytes() == b.timestamps.tobytes() and repr(a.duration) == repr(
-        b.duration
-    )
+    same_duration = repr(a.duration) == repr(b.duration)
+    return same_duration and a.timestamps.tobytes() == b.timestamps.tobytes()
 
 
 def block_rows(block) -> list[Flow]:
