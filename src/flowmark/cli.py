@@ -131,7 +131,7 @@ def _require_seed(spec: ExperimentSpec) -> int:
         raise ConfigError(f"{spec.scenario} is randomized; pass --seed")
     try:
         return check_seed(spec.seed)
-    except (TypeError, ValueError) as exc:
+    except FlowmarkError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -487,13 +487,7 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
 
 
 def _scenario_paper_repro(spec: ExperimentSpec):
-    if spec.seed is None:
-        seed = REPRO_DEFAULT_SEED
-    else:
-        try:
-            seed = check_seed(spec.seed)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    seed = REPRO_DEFAULT_SEED if spec.seed is None else _require_seed(spec)
     trials = REPRO_DEFAULT_TRIALS if spec.trials is None else spec.trials
     if trials <= 0:
         raise ConfigError(f"trials must be positive, got {trials}")

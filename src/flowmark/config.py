@@ -19,7 +19,7 @@ SECTION_KEYS: dict[str, frozenset[str]] = {
     "flow": frozenset({"model", "rate", "table", "duration"}),
     "watermark": frozenset({"T", "o", "o_max", "delta", "n", "key", "clear_fraction"}),
     "attack": frozenset({"T", "delta", "o_max", "epsilon", "quantum"}),
-    "experiment": frozenset({"trials", "k", "manifest", "method", "duration"}),
+    "experiment": frozenset({"trials", "k", "manifest", "method"}),
     "sweep": frozenset({"param", "values"}),
 }
 

@@ -57,3 +57,7 @@ class ConfigError(FlowmarkError):
 
 class InfeasibleScenario(FlowmarkError):
     """Requested experiment cannot succeed for the configured parameters."""
+
+
+class BadSeed(FlowmarkError, ValueError, TypeError):
+    """Seed not an unsigned 64-bit int, or a seed component of the wrong type."""

@@ -25,7 +25,7 @@ from .errors import (
     NonGenerativeModel,
     WindowTooLong,
 )
-from .seeds import check_seed
+from .seeds import seeded_generators
 
 
 def _canonical_timestamps(timestamps: Iterable[float]) -> np.ndarray:
@@ -173,6 +173,10 @@ REFERENCE_CLEAR_TABLE = EmpiricalModel(
 )
 
 
+# Most packets one flow is expected to hold: 10**7 arrivals are 80 MB.
+MAX_FLOW_PACKETS = 10**7
+
+
 def draw_width(model: FlowModel, duration: float) -> int:
     """Gaps drawn first for one flow: the expected packet count plus 4 sigma plus 16.
 
@@ -185,9 +189,10 @@ def draw_width(model: FlowModel, duration: float) -> int:
     if not math.isfinite(duration) or duration <= 0:
         raise InvalidDuration(f"duration must be positive, got {duration}")
     expected = model.rate * duration
-    if not math.isfinite(expected):
+    if not expected <= MAX_FLOW_PACKETS:
         raise InvalidDuration(
-            f"rate {model.rate} over duration {duration} expects {expected} packets"
+            f"rate {model.rate} over duration {duration} expects {expected} packets, "
+            f"more than the {MAX_FLOW_PACKETS} one flow may hold"
         )
     return max(16, int(expected + 4.0 * math.sqrt(expected) + 16))
 
@@ -195,23 +200,25 @@ def draw_width(model: FlowModel, duration: float) -> int:
 def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Raw arrival times, one row per seed, and each row's count below duration.
 
-    Row r draws draw_width gaps from default_rng(seeds[r]) and, while its last
-    arrival is not past duration, further chunks of a quarter of the last
-    size (at least 16).  Shorter rows are padded with inf.
+    Row r draws draw_width gaps from default_rng(seeds[r])'s stream and, while
+    its last arrival is not past duration, further chunks of a quarter of the
+    last size (at least 16).  Shorter rows are padded with inf.
     """
     chunk = draw_width(model, duration)
-    rngs = [np.random.default_rng(check_seed(seed)) for seed in seeds]
     scale = 1.0 / model.rate
-    arrivals = np.empty((len(rngs), chunk))
-    for row, rng in zip(arrivals, rngs):
+    arrivals = np.empty((len(seeds), chunk))
+    for row, rng in zip(arrivals, seeded_generators(seeds)):
         row[:] = rng.exponential(scale=scale, size=chunk)
     np.cumsum(arrivals, axis=1, out=arrivals)  # row by row, as the 1-D cumsum
     extra: dict[int, np.ndarray] = {}
     for r in np.flatnonzero(arrivals[:, -1] <= duration).tolist():
+        # Resume the row's stream where its first chunk ended.
+        rng = next(seeded_generators([seeds[r]]))
+        rng.exponential(scale=scale, size=chunk)
         times, size, total = [], chunk, float(arrivals[r, -1])
         while total <= duration:
             size = max(16, size // 4)
-            times.append(total + np.cumsum(rngs[r].exponential(scale=scale, size=size)))
+            times.append(total + np.cumsum(rng.exponential(scale=scale, size=size)))
             total = float(times[-1][-1])
         extra[r] = np.concatenate(times)
     if extra:
@@ -238,6 +245,9 @@ class FlowBlock(NamedTuple):
     arrivals: np.ndarray
     counts: np.ndarray
     durations: np.ndarray
+
+    def flow(self, r: int) -> Flow:
+        return Flow(timestamps=self.arrivals[r, : self.counts[r]], duration=self.durations[r].item())
 
 
 def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> FlowBlock:

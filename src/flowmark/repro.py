@@ -21,7 +21,7 @@ from .flow_model import (
     poisson_rate_for_clear_probability,
 )
 from .mfa import _BATCH_EDGES, AttackConfig, attack_plan, block_window_lists
-from .seeds import derive_seed
+from .seeds import derive_from, seed_prefix
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
 # the reference trace. All headline numbers below derive from these.
@@ -148,10 +148,11 @@ def monte_carlo_attack(
     offsets, search = attack_plan(method, cfg, k)
     bound = fp_bound(k, clear_prob, len(offsets)).clamped
     per_block = max(1, _BATCH_EDGES // (k * (width + 2)))
+    prefix = seed_prefix(seed, "mc")
     hits = 0
     for first in range(0, trials, per_block):
         block = range(first, min(trials, first + per_block))
-        seeds = [derive_seed(seed, "mc", t, i) for t in block for i in range(k)]
+        seeds = [derive_from(prefix, t, i) for t in block for i in range(k)]
         lists = block_window_lists(generate_block(model, duration, seeds), cfg, offsets)
         for j in range(0, len(lists), k):
             _, window, _ = search(lists[j : j + k])

@@ -20,8 +20,8 @@ import numpy as np
 
 from .analysis import ceil_snapped
 from .errors import BadDelta, BadFraction, ConfigError, FlowmarkError, FlowTooShort
-from .flow_model import Flow, FlowModel, generate_flow
-from .seeds import check_seed, derive_seed
+from .flow_model import Flow, FlowModel, draw_width, generate_block
+from .seeds import check_seed, derive_from, derive_seed, seed_prefix
 
 
 @dataclass(frozen=True)
@@ -188,24 +188,30 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
+# Gaps drawn per block of false-positive trials.
+_BLOCK_GAPS = 1 << 16
+
+
 def false_positive_rate(
     model: FlowModel, params: WatermarkParams, trials: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo detection rate on unwatermarked flows, with Wilson half-width.
 
     Flows are generated just long enough for the detector sweep
-    (o_max + n*T seconds).  Requires at least 100 trials for the interval
-    to mean anything.
+    (o_max + n*T seconds), trial t's with seed derive_seed(seed,
+    "fpr-trial", t), a block of trials at a time.  Requires at least 100
+    trials for the interval to mean anything.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials, got {trials}")
-    check_seed(seed)
+    prefix = seed_prefix(seed, "fpr-trial")
     duration = params.o_max + params.n * params.T
+    per_block = max(1, _BLOCK_GAPS // draw_width(model, duration))
     hits = 0
-    for trial in range(trials):
-        flow = generate_flow(model, duration, derive_seed(seed, "fpr-trial", trial))
-        if detect(flow, params).detected:
-            hits += 1
+    for first in range(0, trials, per_block):
+        seeds = [derive_from(prefix, t) for t in range(first, min(trials, first + per_block))]
+        block = generate_block(model, duration, seeds)
+        hits += sum(detect(block.flow(r), params).detected for r in range(len(seeds)))
     lo, hi = wilson_interval(hits, trials)
     return hits / trials, (hi - lo) / 2.0
 

@@ -191,6 +191,21 @@ class TestGenerateScenario:
         assert err.count("\n") == 1
         assert err.startswith("error:") and "packets" in err
 
+    def test_out_of_range_seed_is_config_error(self, tmp_path, gen_config, capsys):
+        rc = run_cli("generate", "--config", gen_config, "--out", tmp_path / "o", "--seed", "-1")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must fit in 64 unsigned bits" in err
+
+    def test_huge_packet_count_is_a_one_line_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text(GEN_INI.replace("duration = 18.9", "duration = 1e300"))
+        rc = run_cli("generate", "--config", cfg, "--out", tmp_path / "o", "--seed", "7")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and "packets" in err
+
     def test_parameter_echo_round_trips(self, tmp_path, gen_config):
         spec = ExperimentSpec(
             scenario="generate", out_dir=tmp_path / "out", config_path=gen_config, seed=7
@@ -462,6 +477,23 @@ class TestMonteCarloScenario:
         assert err.count("\n") == 1
         assert err.startswith("error:") and "packets" in err
 
+    def test_huge_packet_count_is_a_one_line_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(self.MC_INI.replace("\n\n[attack]", "\nduration = 1e300\n\n[attack]"))
+        rc = run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "o", "--seed", "3")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error:") and "packets" in err
+
+    def test_experiment_duration_is_config_error(self, tmp_path, capsys):
+        # Flow length is [flow] duration; an [experiment] one would be ignored.
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(self.MC_INI + "duration = 15.3\n")
+        rc = run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "o", "--seed", "3")
+        assert rc == EXIT_CONFIG
+        assert "unknown key 'duration' in [experiment]" in capsys.readouterr().err
+
     def test_zero_trials_is_config_error(self, tmp_path):
         cfg = tmp_path / "mc.ini"
         cfg.write_text(self.MC_INI)
@@ -473,6 +505,14 @@ class TestMonteCarloScenario:
 
 
 class TestPaperReproScenario:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_config_error(self, tmp_path, capsys, seed):
+        rc = run_cli("paper-repro", "--out", tmp_path / "o", "--seed", seed, "--trials", "10")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must fit in 64 unsigned bits" in err
+        assert not (tmp_path / "o").exists()
+
     def test_all_cases_pass_and_reruns_are_identical(self, tmp_path, capsys):
         rc_a = run_cli("paper-repro", "--out", tmp_path / "a", "--trials", "1500")
         out_text = capsys.readouterr().out

@@ -31,7 +31,7 @@ from flowmark.errors import (
     NonGenerativeModel,
     WindowTooLong,
 )
-from flowmark.flow_model import _canonical_timestamps
+from flowmark.flow_model import MAX_FLOW_PACKETS, _canonical_timestamps, draw_width
 
 
 class TestFlow:
@@ -179,6 +179,15 @@ class TestGenerateFlow:
     def test_rejects_zero_duration(self):
         with pytest.raises(InvalidDuration):
             generate_flow(PoissonModel(5.0), 0.0, seed=1)
+
+    def test_expected_packet_cap_edge(self):
+        # Only draw_width is called here: a flow this long would take 80 MB.
+        cap = float(MAX_FLOW_PACKETS)
+        assert draw_width(PoissonModel(1.0), cap) > MAX_FLOW_PACKETS
+        assert draw_width(PoissonModel(2.0), cap / 2) > MAX_FLOW_PACKETS
+        for rate, duration in [(1.0, math.nextafter(cap, math.inf)), (3.0, 1e300)]:
+            with pytest.raises(InvalidDuration, match="more than the 10000000 one flow"):
+                draw_width(PoissonModel(rate), duration)
 
     def test_timestamps_inside_duration(self):
         flow = generate_flow(PoissonModel(20.0), 3.0, seed=7)

@@ -3,12 +3,15 @@
 The oracle for flow generation is the scalar draw loop that generated one
 flow per call before flows were drawn in blocks.  Rows that real seeds
 practically never produce (a first chunk of gaps that ends before the
-duration, tied arrivals, ties nudged past the duration) are injected by a
-stand-in for ``np.random.default_rng`` that rewrites the gaps of chosen
-seeds; the oracle and the code under test both draw through it.
+duration, tied arrivals, ties nudged past the duration) are injected by
+stand-ins that rewrite the gaps of chosen seeds: one for ``oracle_rng``,
+which the oracle draws through, and one for the seeding seam
+``flow_model.seeded_generators``, which the code under test draws through.
 """
 
+import contextlib
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -27,6 +30,7 @@ from flowmark import (
     mfa_varied_offset_exhaustive,
     poisson_rate_for_clear_probability,
 )
+from flowmark import flow_model
 from flowmark.errors import SearchSpaceTooLarge
 from flowmark.flow_model import generate_block
 from flowmark.mfa import (
@@ -48,9 +52,14 @@ ATTACKS = {
 }
 
 
+def oracle_rng(seed: int):
+    """The oracle's generator for a seed; injected() swaps in a stand-in."""
+    return np.random.default_rng(seed)
+
+
 def reference_generate_flow(model: PoissonModel, duration: float, seed: int) -> Flow:
     """The scalar draw loop: one chunk after another until an arrival passes duration."""
-    rng = np.random.default_rng(seed)
+    rng = oracle_rng(seed)
     scale = 1.0 / model.rate
     expected = model.rate * duration
     chunk = max(16, int(expected + 4.0 * math.sqrt(expected) + 16))
@@ -96,14 +105,22 @@ class InjectedRng:
         return gaps
 
 
+@contextlib.contextmanager
 def injected(modes: dict[int, str], duration: float):
-    """Patch np.random.default_rng so the seeds in `modes` draw rewritten gaps."""
-    real = np.random.default_rng
+    """Make the seeds in `modes` draw rewritten gaps, in the oracle and in the code."""
+    real_generators = flow_model.seeded_generators
 
-    def default_rng(seed):
-        return InjectedRng(real(seed), modes.get(seed, "plain"), duration)
+    def injected_rng(seed):
+        return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration)
 
-    return mock.patch.object(np.random, "default_rng", default_rng)
+    def seeded_generators(seeds):
+        for seed, rng in zip(seeds, real_generators(seeds)):
+            yield InjectedRng(rng, modes.get(seed, "plain"), duration)
+
+    with mock.patch.object(sys.modules[__name__], "oracle_rng", injected_rng), mock.patch.object(
+        flow_model, "seeded_generators", seeded_generators
+    ):
+        yield
 
 
 @st.composite
@@ -123,10 +140,7 @@ def same_flow(a: Flow, b: Flow) -> bool:
 
 
 def block_rows(block) -> list[Flow]:
-    return [
-        Flow(timestamps=block.arrivals[r, : block.counts[r]], duration=block.durations[r].item())
-        for r in range(len(block.counts))
-    ]
+    return [block.flow(r) for r in range(len(block.counts))]
 
 
 class TestGenerationMatchesScalarLoop:
@@ -150,14 +164,16 @@ class TestGenerationMatchesScalarLoop:
             expected = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
         assert all(map(same_flow, block_rows(block), expected))
 
-    def test_injected_rows_reach_every_path(self):
+    @pytest.mark.parametrize("padding", [0, 8])  # seeded one by one, or as one block
+    def test_injected_rows_reach_every_path(self, padding):
         """Each mode does what the properties rely on it doing."""
-        seeds = [derive_seed(0, "modes", i) for i in range(len(MODES))]
+        seeds = [derive_seed(0, "modes", i) for i in range(len(MODES) + padding)]
         modes = dict(zip(seeds, MODES))
         with injected(modes, 0.9):
             flows = [reference_generate_flow(MODEL, 0.9, seed) for seed in seeds]
             block = generate_block(MODEL, 0.9, seeds)
-        plain, short, shorter, ties, end, empty = flows
+        assert all(map(same_flow, block_rows(block), flows))
+        plain, short, shorter, ties, end, empty = flows[: len(MODES)]
         assert len(short) > 24 and len(shorter) > 40  # 24 gaps are drawn first at 0.9 s
         assert block.arrivals.shape[1] > 40
         assert ties.timestamps[:2].tolist() == [0.0, 5e-324]

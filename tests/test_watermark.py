@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from flowmark.errors import (
     FlowTooShort,
     NonGenerativeModel,
 )
+from flowmark import watermark
 from flowmark.watermark import params_from_section, params_to_section
 
 # Keys found by scanning upward from zero for specific small patterns;
@@ -435,6 +437,32 @@ class TestFalsePositiveRate:
         rate, half = false_positive_rate(PoissonModel(lam), params, trials=3000, seed=77)
         oracle = math.exp(-lam * (T - delta))
         assert abs(rate - oracle) <= half
+
+    @pytest.mark.parametrize("block_gaps", [16, 100, 1 << 16])
+    def test_blocks_match_one_flow_per_trial(self, block_gaps):
+        T = 0.35
+        model = PoissonModel(poisson_rate_for_clear_probability(0.45, T))
+        params = WatermarkParams(
+            T=T, o=0.0, o_max=0.35, delta=T / 50, n=2,
+            key=KEY_CLEARS_SECOND_OF_TWO, clear_fraction=0.5,
+        )
+        duration = params.o_max + params.n * params.T
+        expected = [generate_flow(model, duration, derive_seed(9, "fpr-trial", t)) for t in range(150)]
+        seen = []
+
+        def recording_detect(flow, params):
+            seen.append(flow)
+            return detect(flow, params)
+
+        # 1, 4 or all 150 trials a block.
+        with mock.patch.object(watermark, "_BLOCK_GAPS", block_gaps), mock.patch.object(
+            watermark, "detect", recording_detect
+        ):
+            rate, half = false_positive_rate(model, params, trials=150, seed=9)
+        assert seen == expected
+        hits = sum(detect(flow, params).detected for flow in expected)
+        lo, hi = wilson_interval(hits, 150)
+        assert (rate, half) == (hits / 150, (hi - lo) / 2.0)
 
     def test_more_candidates_raise_false_positive_rate(self):
         T = 0.35
