@@ -37,11 +37,9 @@ def check_seed(seed: int) -> int:
 
 def _mix_parts(h, parts: tuple[int | float | str, ...]) -> None:
     for part in parts:
-        if type(part) is int:  # the common case, encoded as below
-            h.update(b"i%d" % part)
-        elif isinstance(part, bool):
+        if isinstance(part, bool):
             raise BadSeed("bool is not a valid seed component")
-        elif isinstance(part, int):
+        if isinstance(part, int):
             h.update(b"i" + str(part).encode("ascii"))
         elif isinstance(part, float):
             h.update(b"f" + struct.pack("<d", part))
@@ -149,8 +147,7 @@ class _BlockSeed:
     """One seed's SeedSequence output, computed with the rest of its block.
 
     PCG64 seeds itself from generate_state(4, np.uint64), so that is all
-    this seed sequence answers.  It is registered as numpy's ISeedSequence
-    at the first use of block seeding (importing numpy.random is not free).
+    this seed sequence answers.
     """
 
     def __init__(self, words: np.ndarray):
@@ -162,8 +159,11 @@ class _BlockSeed:
         return self.words
 
 
-def _block_generator(words: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_BlockSeed(words)))
+def _block_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """A generator per checked seed, from one vectorised pass over all of them."""
+    # Registered here, not at import, because importing numpy.random is not free.
+    np.random.bit_generator.ISeedSequence.register(_BlockSeed)
+    return (np.random.Generator(np.random.PCG64(_BlockSeed(w))) for w in _pcg64_words(seeds))
 
 
 _KNOWN_SEEDS = (0, 1, 2**32 - 1, 2**32, _SEED_MASK)
@@ -182,9 +182,8 @@ def _block_seeding_matches() -> bool:
     """At first call, compare block seeding with default_rng on _KNOWN_SEEDS."""
     global _block_seeding
     if _block_seeding is None:
-        np.random.bit_generator.ISeedSequence.register(_BlockSeed)
         try:
-            rngs = list(map(_block_generator, _pcg64_words(_KNOWN_SEEDS)))
+            rngs = list(_block_generators(_KNOWN_SEEDS))
         except (TypeError, ValueError):  # a PCG64 that asks for other words
             _block_seeding = False
         else:
@@ -201,4 +200,4 @@ def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     checked = [check_seed(seed) for seed in seeds]
     if len(checked) < _BLOCK_MIN or not _block_seeding_matches():
         return map(np.random.default_rng, checked)
-    return map(_block_generator, _pcg64_words(checked))
+    return _block_generators(checked)

@@ -41,6 +41,7 @@ from flowmark.mfa import (
     block_window_lists,
 )
 from flowmark.repro import MonteCarloRate, monte_carlo_attack
+from flowmark.seeds import _BLOCK_MIN
 
 CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
 MODEL = PoissonModel(poisson_rate_for_clear_probability(0.276, CFG.min_length))
@@ -164,8 +165,7 @@ class TestGenerationMatchesScalarLoop:
             expected = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
         assert all(map(same_flow, block_rows(block), expected))
 
-    @pytest.mark.parametrize("padding", [0, 8])  # seeded one by one, or as one block
-    def test_injected_rows_reach_every_path(self, padding):
+    def test_injected_rows_reach_every_path(self, padding=0):
         """Each mode does what the properties rely on it doing."""
         seeds = [derive_seed(0, "modes", i) for i in range(len(MODES) + padding)]
         modes = dict(zip(seeds, MODES))
@@ -179,6 +179,11 @@ class TestGenerationMatchesScalarLoop:
         assert ties.timestamps[:2].tolist() == [0.0, 5e-324]
         assert end.duration > 0.9 and block.durations[4] == end.duration
         assert len(empty) == 0 and block.counts[5] == 0
+
+    def test_injected_rows_reach_every_path_in_a_seeded_block(self):
+        # Six seeds are seeded one default_rng at a time; fourteen as one block.
+        assert len(MODES) < _BLOCK_MIN <= len(MODES) + 8
+        self.test_injected_rows_reach_every_path(padding=8)
 
 
 class TestBlockWindowsMatchPerFlowWindows:

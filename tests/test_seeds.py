@@ -40,7 +40,7 @@ class TestBlockSeeding:
         words = seeds._pcg64_words(block)
         expected = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in block]
         assert words.tobytes() == np.array(expected).tobytes()
-        assert states(map(seeds._block_generator, words)) == default_rng_states(block)
+        assert states(seeds._block_generators(block)) == default_rng_states(block)
 
     @settings(deadline=None)
     @given(block=st.lists(SEEDS, max_size=60))
@@ -55,11 +55,11 @@ class TestBlockSeeding:
 
     def test_block_seeding_is_used_on_this_numpy(self):
         assert seeds._block_seeding_matches()
-        with mock.patch.object(seeds, "_block_generator", wraps=seeds._block_generator) as spy:
+        with mock.patch.object(seeds, "_block_generators", wraps=seeds._block_generators) as spy:
             list(seeded_generators(range(seeds._BLOCK_MIN - 1)))
             assert spy.call_count == 0
             list(seeded_generators(range(seeds._BLOCK_MIN)))
-            assert spy.call_count == seeds._BLOCK_MIN
+            assert spy.call_count == 1
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, -1, 2**64, True, "3", None])
     def test_every_seed_is_checked(self, bad):
@@ -80,10 +80,10 @@ class TestBlockSeeding:
         expected = generate_block(model, 4.5, chosen)
         with mock.patch.object(seeds, *breakage), mock.patch.object(seeds, "_block_seeding", None):
             assert not seeds._block_seeding_matches()
-            with mock.patch.object(seeds, "_block_generator") as block_generator:
+            with mock.patch.object(seeds, "_block_generators") as block_generators:
                 assert states(seeded_generators(EDGE_SEEDS * 2)) == default_rng_states(EDGE_SEEDS * 2)
                 fallback = generate_block(model, 4.5, chosen)
-            assert block_generator.call_count == 0
+            assert block_generators.call_count == 0
         for got, want in zip(fallback, expected):
             assert got.tobytes() == want.tobytes()
         assert seeds._block_seeding_matches()
