@@ -42,13 +42,7 @@ from .flow_model import (
     read_flow,
     write_flow,
 )
-from .mfa import (
-    AttackConfig,
-    mfa_fixed_offset,
-    mfa_varied_offset_bnb,
-    mfa_varied_offset_exhaustive,
-    read_manifest,
-)
+from .mfa import METHODS, AttackConfig, attack, read_manifest
 from .repro import REPRO_DEFAULT_SEED, REPRO_DEFAULT_TRIALS, all_cases, monte_carlo_attack
 from .seeds import check_seed, derive_seed
 from .watermark import detect, embed, params_from_section, params_to_section
@@ -60,13 +54,6 @@ EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 
 SCENARIOS = ("generate", "embed", "detect", "attack", "bounds", "montecarlo", "paper-repro")
-
-_ATTACK_METHODS = {
-    "fixed": mfa_fixed_offset,
-    "exhaustive": mfa_varied_offset_exhaustive,
-    "bnb": mfa_varied_offset_bnb,
-}
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -303,10 +290,8 @@ def _scenario_detect(cfg: ConfigDict, spec: ExperimentSpec):
 
 def _method_name(cfg: ConfigDict) -> str:
     method = get_value(cfg, "experiment", "method", "bnb")
-    if method not in _ATTACK_METHODS:
-        raise ConfigError(
-            f"unknown attack method {method!r}; expected one of {sorted(_ATTACK_METHODS)}"
-        )
+    if method not in METHODS:
+        raise ConfigError(f"unknown attack method {method!r}; expected one of {sorted(METHODS)}")
     return method
 
 
@@ -314,7 +299,7 @@ def _scenario_attack(cfg: ConfigDict, spec: ExperimentSpec):
     acfg = _attack_config(cfg)
     method = _method_name(cfg)
     _, flows = _manifest_flows(cfg, spec)
-    finding = _ATTACK_METHODS[method](flows, acfg)
+    finding = attack(method, flows, acfg)
     window_start = window_length = None
     assignment = None
     if finding.matched_window is not None:

@@ -59,5 +59,10 @@ class InfeasibleScenario(FlowmarkError):
     """Requested experiment cannot succeed for the configured parameters."""
 
 
+class BadParameter(FlowmarkError, ValueError):
+    """A parameter outside the values its use allows: a non-positive length,
+    quantum or count, an epsilon outside (0, 1), an unknown attack method."""
+
+
 class BadSeed(FlowmarkError, ValueError, TypeError):
     """Seed not an unsigned 64-bit int, or a seed component of the wrong type."""

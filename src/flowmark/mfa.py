@@ -7,6 +7,8 @@ of length at least T - delta that is packet-free in every flow.  Windows are
 snapped inward to a small time quantum, in one vectorised numpy pass per
 batch of flows covering every offset shift, so the grid search can only
 shrink what is really clear and never reports a window containing a packet.
+The Monte Carlo driver needs only verdicts: block_verdicts decides a whole
+block of trials at once, with the search's answer but none of its windows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import ceil_snapped, fp_bound, offset_multiplier
-from .errors import BadDelta, FlowFileError, NegativeWindow, SearchSpaceTooLarge
+from .errors import BadDelta, BadParameter, FlowFileError, NegativeWindow, SearchSpaceTooLarge
 from .flow_model import Flow, FlowBlock, estimate_clear_probability
 
 
@@ -40,17 +42,17 @@ class AttackConfig:
 
     def __post_init__(self) -> None:
         if self.T <= 0 or not math.isfinite(self.T):
-            raise ValueError(f"interval length must be positive, got {self.T}")
+            raise BadParameter(f"interval length must be positive, got {self.T}")
         if not 0 < self.delta <= self.T or not math.isfinite(self.delta):
             raise BadDelta(f"delta must be in (0, T={self.T}], got {self.delta}")
         if self.o_max < 0 or not math.isfinite(self.o_max):
-            raise ValueError(f"o_max must be non-negative, got {self.o_max}")
+            raise BadParameter(f"o_max must be non-negative, got {self.o_max}")
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+            raise BadParameter(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.quantum is None:
             object.__setattr__(self, "quantum", self.delta / 8.0)
         if not 0 < self.quantum <= self.delta / 4.0:
-            raise ValueError(
+            raise BadParameter(
                 f"quantum must be in (0, delta/4={self.delta / 4.0}], got {self.quantum}"
             )
 
@@ -90,19 +92,20 @@ class AttackFinding:
 _BATCH_EDGES = 4096
 
 
-def _snap_batch(
-    edges: np.ndarray, sizes: Sequence[int], shifts: np.ndarray, quantum: float, min_units: int
-) -> list[list[list[tuple[int, int]]]]:
-    """Grid windows of a batch of flows for every shift, in one numpy pass.
+def _snap(
+    edges: np.ndarray, shifts: np.ndarray, quantum: float, min_units: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid windows (lo, hi) of every gap of edges at every shift, and which to keep.
 
-    edges holds, per flow, 0, its timestamps and its duration; sizes[f] is
-    flow f's edge count.  Each gap (s, e), shifted by -shift, is snapped
-    inward onto the quantum grid.  The guard loops re-check the final float
-    expressions the soundness audit uses, so a unit of rounding noise can
-    only shrink a window further.  The edge pair joining one flow's duration
-    to the next flow's 0 runs backwards and snaps to nothing.
+    edges holds, per flow, 0, its timestamps and its duration.  Row j snaps
+    each gap (s, e), shifted by -shifts[j], inward onto the quantum grid.
+    The guard loops re-check the final float expressions the soundness audit
+    uses, so a unit of rounding noise can only shrink a window further.  The
+    edge pair joining one flow's duration to the next flow's 0 runs backwards
+    and snaps to nothing.  keep marks windows at least min_units long.
     """
-    starts = [0, *itertools.accumulate(sizes)]
+    if not (edges.max() + np.abs(shifts).max()) / quantum < 2.0**62:
+        raise SearchSpaceTooLarge("flows span more than the 2**62 quanta the grid indexes")
     s, e = edges[:-1], edges[1:]
     sh = shifts[:, None]
     grid = (edges - sh) / quantum
@@ -112,82 +115,85 @@ def _snap_batch(
     hi = np.floor(grid[:, 1:]).astype(np.int64)
     while (over := hi * quantum + sh > e).any():
         hi -= over
-    keep = (hi > lo) & (hi - lo >= min_units)
-    # Flat indices run shift-major, then by gap, so each (shift, flow) is one run.
-    nf = len(sizes)
-    bounds = [j * s.size + b for j in range(len(shifts)) for b in starts[:-1]] + [keep.size]
-    cuts = np.searchsorted(np.flatnonzero(keep), bounds).tolist()
-    pairs = list(zip(lo[keep].tolist(), hi[keep].tolist()))
-    return [
-        [pairs[cuts[j * nf + f] : cuts[j * nf + f + 1]] for j in range(len(shifts))]
-        for f in range(nf)
-    ]
-
-
-def _snap_flows(
-    sizes: Sequence[int],
-    edges_of: Callable[[int, int], np.ndarray],
-    span: float,
-    shifts: Sequence[float],
-    quantum: float,
-    min_units: int,
-) -> list[list[list[tuple[int, int]]]]:
-    """windows[flow_index][shift_index] of flows with the given edge counts.
-
-    edges_of(a, b) lays out flows a to b - 1 as _snap_batch takes them; it
-    is called once per batch, so callers may build edges one batch at a
-    time.  span is the longest flow duration.  Flows are snapped in batches
-    of at most _BATCH_EDGES edges (a longer flow is a batch of its own).
-    """
-    shift_arr = np.asarray(shifts, dtype=float)
-    if not (span + np.abs(shift_arr).max()) / quantum < 2.0**62:
-        raise SearchSpaceTooLarge("flows span more than the 2**62 quanta the grid indexes")
-    out: list[list[list[tuple[int, int]]]] = []
-    first = size = 0
-    for i, n in enumerate(sizes):
-        if i > first and size + n > _BATCH_EDGES:
-            out += _snap_batch(edges_of(first, i), sizes[first:i], shift_arr, quantum, min_units)
-            first, size = i, 0
-        size += n
-    last = _snap_batch(edges_of(first, len(sizes)), sizes[first:], shift_arr, quantum, min_units)
-    return out + last
+    return lo, hi, (hi > lo) & (hi - lo >= min_units)
 
 
 def _snapped_windows(
     flows: Sequence[Flow], shifts: Sequence[float], quantum: float, min_units: int
 ) -> list[list[list[tuple[int, int]]]]:
-    """windows[flow_index][shift_index]: (lo, hi) grid indices sorted by lo."""
-    sizes = [len(flow) + 2 for flow in flows]
+    """windows[flow_index][shift_index]: (lo, hi) grid indices sorted by lo.
 
-    def edges_of(a: int, b: int) -> np.ndarray:
+    Flows are snapped in batches of at most _BATCH_EDGES edges (a longer
+    flow is a batch of its own), one numpy pass per batch.
+    """
+    sizes = [len(flow) + 2 for flow in flows]
+    shift_arr = np.asarray(shifts, dtype=float)
+
+    def batch(a: int, b: int) -> list[list[list[tuple[int, int]]]]:
         edges = np.zeros(sum(sizes[a:b]))  # per flow: 0, its timestamps, its duration
-        for flow, end in zip(flows[a:b], itertools.accumulate(sizes[a:b])):
+        starts = [0, *itertools.accumulate(sizes[a:b])]
+        for flow, end in zip(flows[a:b], starts[1:]):
             edges[end - len(flow) - 1 : end - 1] = flow.timestamps
             edges[end - 1] = flow.duration
-        return edges
+        lo, hi, keep = _snap(edges, shift_arr, quantum, min_units)
+        # Flat indices run shift-major, then by gap, so each (shift, flow) is one run.
+        nf, gaps = b - a, edges.size - 1
+        bounds = [j * gaps + c for j in range(len(shifts)) for c in starts[:-1]] + [keep.size]
+        cuts = np.searchsorted(np.flatnonzero(keep), bounds).tolist()
+        pairs = list(zip(lo[keep].tolist(), hi[keep].tolist()))
+        return [
+            [pairs[cuts[j * nf + f] : cuts[j * nf + f + 1]] for j in range(len(shifts))]
+            for f in range(nf)
+        ]
 
-    span = max(flow.duration for flow in flows)
-    return _snap_flows(sizes, edges_of, span, shifts, quantum, min_units)
+    out: list[list[list[tuple[int, int]]]] = []
+    first = size = 0
+    for i, n in enumerate(sizes):
+        if i > first and size + n > _BATCH_EDGES:
+            out += batch(first, i)
+            first, size = i, 0
+        size += n
+    return out + batch(first, len(sizes))
 
 
-def block_window_lists(
-    block: FlowBlock, cfg: AttackConfig, shifts: Sequence[float]
-) -> list[list[list[tuple[int, int]]]]:
-    """_window_lists of every flow of a block, from one edge array cut by one mask."""
+def block_verdicts(
+    block: FlowBlock, cfg: AttackConfig, shifts: Sequence[float], k: int
+) -> np.ndarray:
+    """Whether the list searches find a common window, for each trial of a block.
+
+    Flows k*t to k*t + k - 1 of the block make up trial t.  A trial is present
+    iff some grid start x has [x, x + m] inside one window of every flow, at
+    some shift of that flow (m = _min_units(cfg)).  A kept window (lo, hi)
+    holds the starts [lo, hi - m + 1).  One sorted sweep of +1/-1 events
+    merges each flow's starts over all shifts into disjoint pieces, where its
+    depth leaves and returns to 0; a second sweep over the pieces of each
+    trial finds where k flows cover a start.  Events sort by one int64 key,
+    (group * n + rank) * 2 + rise, where rank indexes the n distinct
+    coordinates, so at equal coordinates a piece ends before another starts.
+    """
     rows, width = block.arrivals.shape
     edges = np.empty((rows, width + 2))
     edges[:, 0] = 0.0
     edges[:, 1:-1] = block.arrivals
     edges[:, -1] = block.durations
-    keep = np.ones(edges.shape, dtype=bool)
-    keep[:, 1:-1] = np.arange(width) < block.counts[:, None]
-    flat = edges[keep]
-    sizes = (block.counts + 2).tolist()
-    starts = [0, *itertools.accumulate(sizes)]
-    span = float(block.durations.max())
-    return _snap_flows(
-        sizes, lambda a, b: flat[starts[a] : starts[b]], span, shifts, cfg.quantum, _min_units(cfg)
-    )
+    inside = np.ones(edges.shape, dtype=bool)
+    inside[:, 1:-1] = np.arange(width) < block.counts[:, None]
+    m = _min_units(cfg)
+    lo, hi, keep = _snap(edges[inside], np.asarray(shifts, dtype=float), cfg.quantum, m)
+    gap_flow = np.repeat(np.arange(rows), block.counts + 2)[:-1]
+    flow = np.broadcast_to(gap_flow, keep.shape)[keep]
+    coords, rank = np.unique(np.concatenate((lo[keep], hi[keep] - (m - 1))), return_inverse=True)
+    stride = 2 * coords.size  # keys of one group
+    rises = np.arange(rank.size) < flow.size
+    key = np.sort(np.concatenate((flow, flow)) * stride + 2 * rank + rises)
+    rise = key & 1
+    key = key[np.cumsum(2 * rise - 1) == rise]  # depth 0 -> 1 or 1 -> 0: piece bounds
+    group, slot = np.divmod(key, stride)
+    key = np.sort(group // k * stride + slot)
+    trial = key[np.cumsum(2 * (key & 1) - 1) == k] // stride
+    present = np.zeros(rows // k, dtype=bool)
+    present[trial] = True
+    return present
 
 
 def _intersect(windows_a: list, windows_b: list, min_units: int) -> list:
@@ -215,7 +221,7 @@ def find_clear_windows(flow: Flow, min_length: float, quantum: float) -> list[Cl
     if min_length <= 0 or not math.isfinite(min_length):
         raise NegativeWindow(f"min_length must be positive, got {min_length}")
     if quantum <= 0 or not math.isfinite(quantum):
-        raise ValueError(f"quantum must be positive, got {quantum}")
+        raise BadParameter(f"quantum must be positive, got {quantum}")
     min_units = ceil_snapped(min_length / quantum)
     (grid,) = _snapped_windows([flow], [0.0], quantum, min_units)[0]
     return [
@@ -340,7 +346,7 @@ def _offset_grid(cfg: AttackConfig) -> list[float]:
 EXHAUSTIVE_CAP = 10**6
 
 # Attack methods by name: the offsets each tries per flow, and its search.
-_METHODS = {
+METHODS = {
     "fixed": (lambda cfg: [0.0], _bnb),
     "exhaustive": (_offset_grid, _exhaustive),
     "bnb": (_offset_grid, _bnb),
@@ -354,11 +360,11 @@ def attack_plan(
 
     The exhaustive method errors if its multiplier ** k space exceeds the cap.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown attack method {method!r}; expected one of {sorted(_METHODS)}")
+    if method not in METHODS:
+        raise BadParameter(f"unknown attack method {method!r}; expected one of {sorted(METHODS)}")
     if k < 1:
-        raise ValueError("attack needs at least one flow")
-    grid, search = _METHODS[method]
+        raise BadParameter("attack needs at least one flow")
+    grid, search = METHODS[method]
     offsets = grid(cfg)
     if method == "exhaustive" and (space := len(offsets) ** k) > cap:
         raise SearchSpaceTooLarge(
@@ -367,14 +373,18 @@ def attack_plan(
     return offsets, functools.partial(search, min_units=_min_units(cfg))
 
 
-def _attack(
+def attack(
     method: str,
     flows: Sequence[Flow],
     cfg: AttackConfig,
-    clear_prob: Optional[float],
+    *,
     cap: int = EXHAUSTIVE_CAP,
+    clear_prob: Optional[float] = None,
 ) -> AttackFinding:
-    """Run the named method on the flows; the bound uses multiplier len(offsets)."""
+    """Run the named method of METHODS on the flows.
+
+    The bound uses multiplier len(offsets), the method's offsets per flow.
+    """
     offsets, search = attack_plan(method, cfg, len(flows), cap)
     searched, window, path = search(_window_lists(flows, cfg, offsets))
     assignment = None if path is None else tuple(offsets[i] for i in path)
@@ -390,7 +400,7 @@ def mfa_fixed_offset(
     reported bound uses multiplier 1 (no offset uncertainty), and
     configurations_searched is always 1.
     """
-    return _attack("fixed", flows, cfg, clear_prob)
+    return attack("fixed", flows, cfg, clear_prob=clear_prob)
 
 
 def mfa_varied_offset_exhaustive(
@@ -406,7 +416,7 @@ def mfa_varied_offset_exhaustive(
     if the multiplier ** k space exceeds the cap.  This is the reference
     enumeration the branch-and-bound search is checked against.
     """
-    return _attack("exhaustive", flows, cfg, clear_prob, cap)
+    return attack("exhaustive", flows, cfg, cap=cap, clear_prob=clear_prob)
 
 
 def mfa_varied_offset_bnb(
@@ -418,7 +428,7 @@ def mfa_varied_offset_bnb(
     exhaustive search, with no cap on the search space and no recursion, so
     any k that min_flows prescribes can be searched.
     """
-    return _attack("bnb", flows, cfg, clear_prob)
+    return attack("bnb", flows, cfg, clear_prob=clear_prob)
 
 
 def read_manifest(path: str | Path) -> list[Path]:

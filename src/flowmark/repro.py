@@ -20,7 +20,8 @@ from .flow_model import (
     generate_block,
     poisson_rate_for_clear_probability,
 )
-from .mfa import _BATCH_EDGES, AttackConfig, attack_plan, block_window_lists
+from .errors import BadParameter
+from .mfa import _BATCH_EDGES, AttackConfig, attack_plan, block_verdicts
 from .seeds import derive_from, seed_prefix
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
@@ -140,12 +141,13 @@ def monte_carlo_attack(
     seed derive_seed(seed, "mc", t, i), and the attack runs with the given
     clear probability, so its bound is the same in every trial.  Trials run
     in blocks sized to one snapping batch: a block's flows are drawn and
-    snapped together, then each trial's window lists are searched.
+    snapped together, and block_verdicts decides every trial of the block,
+    as the method's search would, without building window lists.
     """
     if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+        raise BadParameter(f"trials must be positive, got {trials}")
     width = draw_width(model, duration)
-    offsets, search = attack_plan(method, cfg, k)
+    offsets, _ = attack_plan(method, cfg, k)  # also the exhaustive method's cap check
     bound = fp_bound(k, clear_prob, len(offsets)).clamped
     per_block = max(1, _BATCH_EDGES // (k * (width + 2)))
     prefix = seed_prefix(seed, "mc")
@@ -153,10 +155,7 @@ def monte_carlo_attack(
     for first in range(0, trials, per_block):
         block = range(first, min(trials, first + per_block))
         seeds = [derive_from(prefix, t, i) for t in block for i in range(k)]
-        lists = block_window_lists(generate_block(model, duration, seeds), cfg, offsets)
-        for j in range(0, len(lists), k):
-            _, window, _ = search(lists[j : j + k])
-            hits += window is not None
+        hits += int(block_verdicts(generate_block(model, duration, seeds), cfg, offsets, k).sum())
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     return MonteCarloRate(hits, hits / trials, bound, bound + 3.0 * sigma)
 

@@ -27,8 +27,15 @@ from flowmark import (
     read_manifest,
 )
 from flowmark.analysis import ceil_snapped
-from flowmark.errors import BadDelta, NegativeWindow, SearchSpaceTooLarge
-from flowmark.mfa import _BATCH_EDGES, _offset_grid, _window_lists
+from flowmark.errors import (
+    BadDelta,
+    BadParameter,
+    FlowmarkError,
+    NegativeWindow,
+    SearchSpaceTooLarge,
+)
+from flowmark.mfa import _BATCH_EDGES, _offset_grid, _window_lists, attack_plan
+from flowmark.repro import monte_carlo_attack
 
 REFERENCE_CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
 
@@ -132,6 +139,28 @@ class TestAttackConfig:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=0.0)
+
+
+# Every plain-value check of mfa and the Monte Carlo driver, one call each.
+BAD_PARAMETERS = {
+    "T": lambda: AttackConfig(T=0.0, delta=0.45, o_max=0.9, epsilon=1e-5),
+    "o_max": lambda: AttackConfig(T=0.9, delta=0.45, o_max=-0.1, epsilon=1e-5),
+    "epsilon": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1.0),
+    "quantum": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, quantum=0.2),
+    "find_clear_windows quantum": lambda: find_clear_windows(Flow([1.0], 2.0), 0.5, math.nan),
+    "method": lambda: attack_plan("greedy", REFERENCE_CFG, 2),
+    "k": lambda: attack_plan("bnb", REFERENCE_CFG, 0),
+    "trials": lambda: monte_carlo_attack(
+        "bnb", REFERENCE_CFG, PoissonModel(3.0), 0.9, 2, 0, 0, 0.276
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_PARAMETERS))
+def test_bad_parameter_is_a_toolkit_error(site):
+    with pytest.raises(BadParameter) as info:
+        BAD_PARAMETERS[site]()
+    assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)
 
 
 class TestFindClearWindows:

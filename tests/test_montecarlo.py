@@ -32,13 +32,16 @@ from flowmark import (
 )
 from flowmark import flow_model
 from flowmark.errors import SearchSpaceTooLarge
-from flowmark.flow_model import generate_block
+from flowmark.flow_model import FlowBlock, generate_block
 from flowmark.mfa import (
     _BATCH_EDGES,
     EXHAUSTIVE_CAP,
+    _bnb,
+    _min_units,
     _offset_grid,
     _window_lists,
-    block_window_lists,
+    attack_plan,
+    block_verdicts,
 )
 from flowmark.repro import MonteCarloRate, monte_carlo_attack
 from flowmark.seeds import _BLOCK_MIN
@@ -125,11 +128,14 @@ def injected(modes: dict[int, str], duration: float):
 
 
 @st.composite
-def seeded_flows(draw, max_flows: int = 40):
-    """A duration, flow seeds and the injected mode of each seed."""
+def seeded_flows(draw, max_flows: int = 40, per_trial: int = 1):
+    """A duration, flow seeds and the injected mode of each seed.
+
+    The seed count is a multiple of per_trial.
+    """
     duration = draw(st.sampled_from(DURATIONS))
     master = draw(st.integers(0, 2**64 - 1))
-    count = draw(st.integers(1, max_flows))
+    count = draw(st.integers(1, max_flows // per_trial)) * per_trial
     seeds = [derive_seed(master, "block", i) for i in range(count)]
     kinds = draw(st.lists(st.sampled_from(MODES), min_size=count, max_size=count))
     return duration, seeds, dict(zip(seeds, kinds))
@@ -186,19 +192,37 @@ class TestGenerationMatchesScalarLoop:
         self.test_injected_rows_reach_every_path(padding=8)
 
 
-class TestBlockWindowsMatchPerFlowWindows:
+def list_verdicts(flows, cfg, shifts, k, search=None) -> list[bool]:
+    """Per trial of k consecutive flows: did the list search find a common window?"""
+    search = search or (lambda lists: _bnb(lists, _min_units(cfg)))
+    lists = _window_lists(flows, cfg, shifts)
+    return [search(lists[j : j + k])[1] is not None for j in range(0, len(flows), k)]
+
+
+@st.composite
+def seeded_trials(draw, max_flows: int = 120):
+    """A method, k, and seeded_flows for whole trials of k flows."""
+    method = draw(st.sampled_from(sorted(ATTACKS)))
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    return method, k, draw(seeded_flows(max_flows, per_trial=k))
+
+
+class TestBlockVerdictsMatchListSearches:
     @settings(deadline=None)
-    @given(case=seeded_flows(max_flows=120), o_max=st.sampled_from([0.0, 0.45, 0.9, 1.8]))
-    def test_window_lists(self, case, o_max):
-        duration, seeds, modes = case
+    @given(case=seeded_trials(), o_max=st.sampled_from([0.0, 0.45, 0.9, 1.8]))
+    def test_verdicts(self, case, o_max):
+        method, k, (duration, seeds, modes) = case
         cfg = AttackConfig(T=0.9, delta=0.45, o_max=o_max, epsilon=1e-5)
-        shifts = _offset_grid(cfg)
+        shifts, search = attack_plan(method, cfg, k)
         with injected(modes, duration):
             block = generate_block(MODEL, duration, seeds)
             flows = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
-        assert block_window_lists(block, cfg, shifts) == _window_lists(flows, cfg, shifts)
+        verdicts = block_verdicts(block, cfg, shifts, k).tolist()
+        assert verdicts == list_verdicts(flows, cfg, shifts, k)
+        assert verdicts == list_verdicts(flows, cfg, shifts, k, search)
 
-    def test_grown_duration_stays_with_its_flow(self):
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    def test_grown_duration_stays_with_its_flow(self, k):
         # At shift 1.35 s, grid point -8 lies an ulp past 0.9 s: a flow's last
         # window ends on -9 if the flow ends at 0.9 s and on -8 if it ends a
         # few ulps later, as the injected flow does.
@@ -210,7 +234,16 @@ class TestBlockWindowsMatchPerFlowWindows:
             block = generate_block(MODEL, 0.9, seeds)
             flows = [reference_generate_flow(MODEL, 0.9, seed) for seed in seeds]
         assert flows[0].duration > 0.9
-        assert block_window_lists(block, cfg, shifts) == _window_lists(flows, cfg, shifts)
+        assert block_verdicts(block, cfg, shifts, k).tolist() == list_verdicts(flows, cfg, shifts, k)
+
+    def test_each_row_keeps_its_duration(self):
+        # Flow 1 ends at 0.5 s, so its only long gap, (0.1, 0.5), is too short
+        # for T - delta = 0.45 s; ended at flow 0's 0.9 s it would not be.
+        arrivals = np.array([[np.inf], [0.1]])
+        block = FlowBlock(arrivals, np.array([0, 1]), np.array([0.9, 0.5]))
+        assert block_verdicts(block, CFG, [0.0], 2).tolist() == [False]
+        longer = block._replace(durations=np.array([0.9, 0.9]))
+        assert block_verdicts(longer, CFG, [0.0], 2).tolist() == [True]
 
     @pytest.mark.parametrize("duration, count", [(0.9, 1200), (15.3, 130)])
     def test_blocks_past_the_edge_cap(self, duration, count):
@@ -219,10 +252,66 @@ class TestBlockWindowsMatchPerFlowWindows:
         assert int(block.counts.sum()) + 2 * count > _BATCH_EDGES
         flows = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
         shifts = _offset_grid(CFG)
-        # One flow per call is one snapping batch, whatever the batching does.
-        assert block_window_lists(block, CFG, shifts) == [
-            _window_lists([flow], CFG, shifts)[0] for flow in flows
-        ]
+        for k in (1, 5, 10):
+            verdicts = block_verdicts(block, CFG, shifts, k).tolist()
+            assert verdicts == list_verdicts(flows, CFG, shifts, k)
+        assert 0 < sum(block_verdicts(block, CFG, shifts, 5)) < count // 5
+
+
+def hand_block(*flows: tuple[list[float], float]) -> FlowBlock:
+    """A block of flows given as (timestamps in quanta, duration in quanta) of CFG."""
+    width = max(1, *(len(ts) for ts, _ in flows))
+    arrivals = np.full((len(flows), width), np.inf)
+    for row, (ts, _) in zip(arrivals, flows):
+        row[: len(ts)] = np.array(ts) * CFG.quantum
+    counts = np.array([len(ts) for ts, _ in flows])
+    return FlowBlock(arrivals, counts, np.array([d for _, d in flows]) * CFG.quantum)
+
+
+class TestBlockVerdictEdges:
+    """Hand-built flows of CFG (m = 8 quanta) on and next to the sweep's boundaries.
+
+    Packets sit half a quantum off the grid, so each gap snaps to the grid
+    points just inside it, with no rounding at stake.
+    """
+
+    def verdicts(self, block: FlowBlock, shifts, k: int) -> list[bool]:
+        got = block_verdicts(block, CFG, shifts, k).tolist()
+        rows = [block.flow(r) for r in range(len(block.counts))]
+        assert got == list_verdicts(rows, CFG, shifts, k)
+        return got
+
+    def test_min_units(self):
+        assert _min_units(CFG) == 8 and CFG.quantum * 8 == CFG.min_length
+
+    def test_common_piece_of_exactly_m_is_present(self):
+        # Windows [2, 10] and [1, 13] share [2, 10]: the start 2 alone.
+        block = hand_block(([1.5, 10.5], 12.5), ([0.5, 13.5], 14.5))
+        assert self.verdicts(block, [0.0], 2) == [True]
+
+    def test_common_piece_of_m_minus_one_is_absent(self):
+        # Windows [2, 10] and [1, 9] share [2, 9]; their starts [2, 3) and
+        # [1, 2) touch at 2, where one piece ends as the other begins.
+        block = hand_block(([1.5, 10.5], 12.5), ([0.5, 9.5], 14.5))
+        assert self.verdicts(block, [0.0], 2) == [False]
+
+    def test_a_window_of_exactly_m_alone_is_present(self):
+        block = hand_block(([1.5, 9.5], 12.5), ([1.5, 10.5], 12.5), ([1.5], 10.5))
+        assert self.verdicts(block, [0.0], 1) == [False, True, True]
+
+    def test_touching_windows_of_one_flow_stay_apart(self):
+        # At shifts 0 and 8 quanta, flow 0's window is [2, 10] and [-6, 2],
+        # flow 1's is [6, 14] and [-2, 6].  Each pair shares 4 quanta only;
+        # flow 0's windows joined into [-6, 10] would share [-2, 6] with flow 1.
+        block = hand_block(([1.5, 10.5], 12.5), ([5.5, 14.5], 16.5))
+        assert self.verdicts(block, [0.0, 8 * CFG.quantum], 2) == [False]
+
+    def test_empty_rows_and_flows_without_windows(self):
+        # Row 1 has no packet; row 2 has no gap as long as m.
+        block = hand_block(([], 12.5), ([], 12.5), ([2.5, 6.5, 10.5], 12.5), ([], 12.5))
+        assert self.verdicts(block, [0.0, 8 * CFG.quantum], 2) == [True, False]
+        assert self.verdicts(block, [0.0], 4) == [False]
+        assert self.verdicts(block, [0.0], 1) == [True, True, False, True]
 
 
 def reference_monte_carlo(method, cfg, model, duration, k, trials, seed, clear_prob):
