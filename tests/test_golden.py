@@ -1,7 +1,10 @@
 """Golden outputs: the SHA-256 of every scenario's CSV at a fixed seed.
 
 The flow files that `generate` and `embed` write are pinned as well, by
-the SHA-256 of their bytes concatenated in manifest order.
+the SHA-256 of their bytes concatenated in manifest order.  So are the
+parameter echo and results of each case's last `report.json` (without
+`wall_clock_s`, dumped with sorted keys) and everything `main` prints to
+stdout over the case's calls.
 
 Each case runs `flowmark.cli.main` from a fresh working directory with
 relative paths only, so the paths some CSVs echo are the same wherever the
@@ -11,6 +14,8 @@ in CHANGES.md.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +167,60 @@ FLOW_GOLDEN = {
     "generate": "e1517eef66e0eb0e8543d69e6ed7d6163df847cf7862ace7095af7a3044492a2",
 }
 
+# The last call's report.json without wall_clock_s, and the whole stdout.
+REPORT_GOLDEN = {
+    "attack-bnb-dense": "2eac8b9d76d50ff49d21652686883bd59017db928ef3557260612c10c952433f",
+    "attack-bnb-emb": "e382de92d0d5aacaf6a372376b9ff8ba23165261de594d17e359a28b761fdedf",
+    "attack-bnb-sparse": "cc4de3b9c73b0bfe0cb0dba855fb5945bd9f901074d358d08f1f1b20b97574d7",
+    "attack-exhaustive-dense": "8ffb2970120a90f82ea17924e5e8e71ea533ad3c2ba828434d5390dec5be4af5",
+    "attack-exhaustive-emb": "527fd8f70af48c257c62c6ce49a84b505e50044af308c551a2ece1c24d788a8d",
+    "attack-exhaustive-sparse": "70213d16b4675ef957a4421f9b74ff93d03f4629e61dc2fed25aa461977dc0a8",
+    "attack-fixed-dense": "d14866437172843beb29d7ce65bdd14af9036180da74973a9a56523611020056",
+    "attack-fixed-emb": "61aa9ce7aa712b12d1660d6fcbf7c30e5ec72aa803c8e0535a749572b3710e8b",
+    "attack-fixed-sparse": "5313b55aace162e01a53aaba12ca7dc182dbdaf9b482bac564cc405f11730484",
+    "bounds": "6a7a4c5859668b4cb8a515662ac60d6d574966d0b19f9327ee8e5ed5486bcc0d",
+    "bounds-sweep-T": "2b01637e35878fd7fdf62eaeaf36d7638daa22b058eca53df6038925708502de",
+    "bounds-sweep-o_max": "0323bb45997d081b7ab59c05708ecd84571919734dd1e9161a107c9fefa2b355",
+    "detect": "c095b897464e8e3ed5425b3036c70b0527183d1c8ef4a09181f3a4a02fe97d9a",
+    "embed": "e9fe110265380fefffc6e76c3eb142aed2d172893c95958249868784acb18064",
+    "generate": "08c360ec9939990cced3ba5176bbca2a634444536493b6a7c6833a0771389708",
+    "montecarlo-bnb": "b6f5fb6a442c17f5acff41e4410a711b0aafda0498524fb6c9b2be81ad58714a",
+    "montecarlo-bnb-15s": "1cc06e3e35afa64fbcb0b46957508d7c696cc6678847a34bfcf7b9c4bfd7cf37",
+    "montecarlo-bnb-blocks": "c79c7bc384c943a2452ab79913e86daa917393bdb7585bba7e49b50bb4dfddb7",
+    "montecarlo-bnb-long": "c21f8e773c0f4bedbddd670a8f3241ed04e793f5d1ad6de7e36151b490e58bf7",
+    "montecarlo-exhaustive": "8ee8afd6f663270df5e99afeff21c677310e2748142218641f52e054eee986d5",
+    "montecarlo-fixed": "64a74f364469d2368337e303a92a2337c405e85553fde2a628c27df65ccfc2f7",
+    "paper-repro": "bc0aae1a7c3076431dfce19383cdec65b41e3533d77420fb6852e1773e354337",
+}
+STDOUT_GOLDEN = {
+    "attack-bnb-dense": "2cac29cb70327bfd8c82baaf90dcfbeb2413a46a44e420f03e4f701e1b439b26",
+    "attack-bnb-emb": "62ac101d48c1c4104361350395920940db3feecff5adf90dae5c71deb466e4c3",
+    "attack-bnb-sparse": "12b0f203b493ed8fcaa415b047357af69a56f74c9e2806858a8e8770762876f5",
+    "attack-exhaustive-dense": "3cea135e0b8a6cec9e30bc67bb66c26a94be21e39373277616871584dee9a032",
+    "attack-exhaustive-emb": "683615c79a5bd19f83ae65fd1341361bbd0edb6eb1c68d9b463a7652caabf5a4",
+    "attack-exhaustive-sparse": "b752860dd1c04fbc9e6fef211f25ab67a72a99f01bd22096d61cfee3d75237eb",
+    "attack-fixed-dense": "355316481f590fd1be7b4de920978c33021fa5bf131c0717e8d3c3a773af41b8",
+    "attack-fixed-emb": "b89aff612d1c2bc95768e4b42e0fe26b0c54cbce6c18d83de2c61e562e7e8d2c",
+    "attack-fixed-sparse": "f1e48053dd8d436729070038c4883eaffc0224535b18afabfa9f408cba6bb684",
+    "bounds": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
+    "bounds-sweep-T": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
+    "bounds-sweep-o_max": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
+    "detect": "7c3a681b99302ad15844afa9550733e13f53da6520a86d1303076cd2cf23e0ca",
+    "embed": "87d99835acebbad4690edb361bc722e26343728ca654fbe6bb7d61e6543aba5e",
+    "generate": "8296eb7738a1581765e66dffb7dd90b186df19447862739a11b05f0129ef30ef",
+    "montecarlo-bnb": "e6891c550016b2e1a4fab35dacae3093f7d57a102a81f07d2b1884593b62ad42",
+    "montecarlo-bnb-15s": "b060e78a625f289cfc056dd7bacc0c1ca857200a19a31db3127033afe4e78417",
+    "montecarlo-bnb-blocks": "d0ec8ccc238c49d315e781ad5585268a3e05c30668e6e96b35d58eabaa4a5f78",
+    "montecarlo-bnb-long": "50b344ee7f834aa29cb089823fc0b19558119afdac8c0105fe80f627d8cc5f79",
+    "montecarlo-exhaustive": "e6891c550016b2e1a4fab35dacae3093f7d57a102a81f07d2b1884593b62ad42",
+    "montecarlo-fixed": "daf2067807b260256055664493e36e143d4b21c318a89a935c60d7b413540c7a",
+    "paper-repro": "acfdabbbbcb5d6b82bf53faca00da9a843b32c839aaca72191c4d68c86eaba9b",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 
 def csv_digest(case: str) -> str:
     """Run one case in the current directory and hash the CSV it writes."""
@@ -172,7 +231,7 @@ def csv_digest(case: str) -> str:
     for argv in calls:
         assert main(argv) == EXIT_OK, argv
     with open(csv_path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        return sha256(fh.read())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -191,6 +250,17 @@ def test_flow_files_match_golden_digest(case, tmp_path, monkeypatch):
     assert digest.hexdigest() == FLOW_GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_and_stdout_match_golden_digest(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    csv_digest(case)
+    stdout = capsys.readouterr().out
+    report = json.loads((Path(CASES[case][2]).parent / "report.json").read_text())
+    del report["wall_clock_s"]
+    assert sha256(json.dumps(report, sort_keys=True).encode()) == REPORT_GOLDEN[case]
+    assert sha256(stdout.encode()) == STDOUT_GOLDEN[case]
+
+
 def test_every_case_is_pinned():
-    assert set(GOLDEN) == set(CASES)
+    assert set(GOLDEN) == set(CASES) == set(REPORT_GOLDEN) == set(STDOUT_GOLDEN)
     assert set(FLOW_GOLDEN) == set(FLOW_MANIFESTS)
