@@ -1,13 +1,11 @@
 """Simulation and analysis toolkit for interval-based flow watermarking."""
 
 from .analysis import (
-    BoundInputs,
     FeasibilityVerdict,
     FpBound,
     countermeasure_is_effective,
     countermeasure_threshold,
     fp_bound,
-    fp_bound_for,
     min_flows,
     offset_multiplier,
     sweep_table,
@@ -55,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackConfig",
     "AttackFinding",
-    "BoundInputs",
     "ClearPattern",
     "ClearWindow",
     "DetectionResult",
@@ -81,7 +78,6 @@ __all__ = [
     "false_positive_rate",
     "find_clear_windows",
     "fp_bound",
-    "fp_bound_for",
     "generate_flow",
     "load_config",
     "min_flows",

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import BadDelta, BadProbability
+from .errors import BadDelta, BadProbability, SearchSpaceTooLarge
 
 # Ratios that land within this relative distance of an integer are treated
 # as exact before ceiling, so 0.9 / 0.3 = 3.0000000000000004 does not
@@ -25,6 +25,8 @@ _SNAP_REL = 1e-9
 
 def ceil_snapped(x: float) -> int:
     """Ceiling with a snap-to-integer guard against float division noise."""
+    if not math.isfinite(x):
+        raise SearchSpaceTooLarge(f"step count {x} overflows: a length is too large for its step")
     nearest = round(x)
     if abs(x - nearest) <= _SNAP_REL * max(1.0, abs(x)):
         return int(nearest)
@@ -52,30 +54,6 @@ class FpBound(NamedTuple):
     clamped: float
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Parameter bundle for the bound: k flows, offset grid, clear probability."""
-
-    k: int
-    o_max: float
-    delta: float
-    p: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        offset_multiplier(self.o_max, self.delta)  # validates o_max and delta
-
-    @property
-    def multiplier(self) -> int:
-        return offset_multiplier(self.o_max, self.delta)
-
-
 def fp_bound(k: int, p: float, multiplier: int = 1) -> FpBound:
     """Probability bound (multiplier * p)^k on a k-flow attack false positive.
 
@@ -94,10 +72,6 @@ def fp_bound(k: int, p: float, multiplier: int = 1) -> FpBound:
     else:
         raw = math.exp(k * math.log(base))
     return FpBound(raw=raw, clamped=min(raw, 1.0))
-
-
-def fp_bound_for(inputs: BoundInputs) -> FpBound:
-    return fp_bound(inputs.k, inputs.p, inputs.multiplier)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ from . import __version__
 from .analysis import SWEEP_COLUMNS, fp_bound, min_flows, offset_multiplier, sweep_table
 from .config import (
     ConfigDict,
-    get_float,
-    get_int,
-    get_value,
+    from_section,
+    get,
     load_config,
     model_from_config,
     model_to_section,
+    to_section,
 )
 from .errors import ConfigError, FlowmarkError, InfeasibleScenario
 from .flow_model import (
@@ -45,15 +45,13 @@ from .flow_model import (
 from .mfa import METHODS, AttackConfig, attack, read_manifest
 from .repro import REPRO_DEFAULT_SEED, REPRO_DEFAULT_TRIALS, all_cases, monte_carlo_attack
 from .seeds import check_seed, derive_seed
-from .watermark import detect, embed, params_from_section, params_to_section
+from .watermark import WatermarkParams, detect, embed
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
-
-SCENARIOS = ("generate", "embed", "detect", "attack", "bounds", "montecarlo", "paper-repro")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -125,7 +123,7 @@ def _require_seed(spec: ExperimentSpec) -> int:
 def _resolve_trials(spec: ExperimentSpec, cfg: ConfigDict, what: str = "trials") -> int:
     trials = spec.trials
     if trials is None:
-        trials = get_int(cfg, "experiment", "trials", None)
+        trials = get(cfg, "experiment", "trials", None)
     if trials is None:
         raise ConfigError(f"no {what} given; pass --trials or set [experiment] trials")
     if trials <= 0:
@@ -140,39 +138,8 @@ def _poisson_model(cfg: ConfigDict) -> PoissonModel:
     return model
 
 
-def _attack_config(cfg: ConfigDict) -> AttackConfig:
-    try:
-        return AttackConfig(
-            T=get_float(cfg, "attack", "T"),
-            delta=get_float(cfg, "attack", "delta"),
-            o_max=get_float(cfg, "attack", "o_max"),
-            epsilon=get_float(cfg, "attack", "epsilon"),
-            quantum=get_float(cfg, "attack", "quantum", None),
-        )
-    except (ValueError, FlowmarkError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad [attack] section: {exc}") from exc
-
-
-def _attack_to_section(acfg: AttackConfig) -> dict[str, str]:
-    return {
-        "T": repr(acfg.T),
-        "delta": repr(acfg.delta),
-        "o_max": repr(acfg.o_max),
-        "epsilon": repr(acfg.epsilon),
-        "quantum": repr(acfg.quantum),
-    }
-
-
-def _watermark_params(cfg: ConfigDict):
-    if "watermark" not in cfg:
-        raise ConfigError("missing [watermark] section")
-    return params_from_section(cfg["watermark"])
-
-
 def _manifest_flows(cfg: ConfigDict, spec: ExperimentSpec):
-    raw = get_value(cfg, "experiment", "manifest")
+    raw = get(cfg, "experiment", "manifest")
     manifest = Path(raw)
     if not manifest.is_absolute() and spec.config_path is not None:
         manifest = spec.config_path.parent / manifest
@@ -204,7 +171,7 @@ def _write_manifest(rel_paths: list[str], spec: ExperimentSpec) -> None:
 
 def _scenario_generate(cfg: ConfigDict, spec: ExperimentSpec):
     model = _poisson_model(cfg)
-    duration = get_float(cfg, "flow", "duration")
+    duration = get(cfg, "flow", "duration")
     count = _resolve_trials(spec, cfg, what="flow count")
     seed = _require_seed(spec)
     rows = []
@@ -223,14 +190,14 @@ def _scenario_generate(cfg: ConfigDict, spec: ExperimentSpec):
     }
     results = {"flows": count, "total_packets": total, "mean_packets": total / count}
     header = ("flow_index", "seed", "packets", "duration", "path")
-    return parameters, results, header, rows
+    return seed, parameters, results, header, rows
 
 
 def _scenario_embed(cfg: ConfigDict, spec: ExperimentSpec):
     model = _poisson_model(cfg)
-    params = _watermark_params(cfg)
+    params = from_section(WatermarkParams, cfg, "watermark")
     # Default duration covers the detector sweep, not just the embedder.
-    duration = get_float(cfg, "flow", "duration", None)
+    duration = get(cfg, "flow", "duration", None)
     if duration is None:
         duration = params.o_max + params.n * params.T
     count = _resolve_trials(spec, cfg, what="flow count")
@@ -252,7 +219,7 @@ def _scenario_embed(cfg: ConfigDict, spec: ExperimentSpec):
     _write_manifest([str(row[-1]) for row in rows], spec)
     parameters = {
         "flow": model_to_section(model) | {"duration": repr(duration)},
-        "watermark": params_to_section(params),
+        "watermark": to_section(params),
         "experiment": {"trials": str(count)},
     }
     results = {
@@ -261,11 +228,11 @@ def _scenario_embed(cfg: ConfigDict, spec: ExperimentSpec):
         "mean_delayed": delayed_total / count,
     }
     header = ("flow_index", "seed", "packets", "delayed", "path")
-    return parameters, results, header, rows
+    return seed, parameters, results, header, rows
 
 
 def _scenario_detect(cfg: ConfigDict, spec: ExperimentSpec):
-    params = _watermark_params(cfg)
+    params = from_section(WatermarkParams, cfg, "watermark")
     paths, flows = _manifest_flows(cfg, spec)
     rows = []
     detected = 0
@@ -276,8 +243,8 @@ def _scenario_detect(cfg: ConfigDict, spec: ExperimentSpec):
             (i, str(path), result.detected, result.recovered_offset, result.match_score)
         )
     parameters = {
-        "watermark": params_to_section(params),
-        "experiment": {"manifest": get_value(cfg, "experiment", "manifest")},
+        "watermark": to_section(params),
+        "experiment": {"manifest": get(cfg, "experiment", "manifest")},
     }
     results = {
         "flows": len(flows),
@@ -285,18 +252,18 @@ def _scenario_detect(cfg: ConfigDict, spec: ExperimentSpec):
         "detection_rate": detected / len(flows),
     }
     header = ("flow_index", "path", "detected", "recovered_offset", "match_score")
-    return parameters, results, header, rows
+    return spec.seed, parameters, results, header, rows
 
 
 def _method_name(cfg: ConfigDict) -> str:
-    method = get_value(cfg, "experiment", "method", "bnb")
+    method = get(cfg, "experiment", "method", "bnb")
     if method not in METHODS:
         raise ConfigError(f"unknown attack method {method!r}; expected one of {sorted(METHODS)}")
     return method
 
 
 def _scenario_attack(cfg: ConfigDict, spec: ExperimentSpec):
-    acfg = _attack_config(cfg)
+    acfg = from_section(AttackConfig, cfg, "attack")
     method = _method_name(cfg)
     _, flows = _manifest_flows(cfg, spec)
     finding = attack(method, flows, acfg)
@@ -320,21 +287,11 @@ def _scenario_attack(cfg: ConfigDict, spec: ExperimentSpec):
         )
     ]
     parameters = {
-        "attack": _attack_to_section(acfg),
+        "attack": to_section(acfg),
         "experiment": {
-            "manifest": get_value(cfg, "experiment", "manifest"),
+            "manifest": get(cfg, "experiment", "manifest"),
             "method": method,
         },
-    }
-    results = {
-        "method": method,
-        "k": k,
-        "present": finding.present,
-        "window_start": window_start,
-        "window_length": window_length,
-        "offset_assignment": assignment,
-        "configurations_searched": finding.configurations_searched,
-        "fp_bound_at_k": finding.fp_bound_at_k,
     }
     header = (
         "method",
@@ -346,7 +303,7 @@ def _scenario_attack(cfg: ConfigDict, spec: ExperimentSpec):
         "configurations_searched",
         "fp_bound_at_k",
     )
-    return parameters, results, header, rows
+    return spec.seed, parameters, dict(zip(header, rows[0])), header, rows
 
 
 def _sweep_values(raw: str) -> list[float]:
@@ -365,7 +322,7 @@ def _sweep_values(raw: str) -> list[float]:
 
 
 def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
-    acfg = _attack_config(cfg)
+    acfg = from_section(AttackConfig, cfg, "attack")
     if "flow" not in cfg:
         raise ConfigError("bounds needs a [flow] section to derive the clear probability")
     model = model_from_config(cfg)
@@ -382,8 +339,8 @@ def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
     )
 
     if "sweep" in cfg:
-        param = get_value(cfg, "sweep", "param")
-        values = _sweep_values(get_value(cfg, "sweep", "values"))
+        param = get(cfg, "sweep", "param")
+        values = _sweep_values(get(cfg, "sweep", "values"))
         sweep_echo = {"param": param, "values": ",".join(repr(v) for v in values)}
     else:
         param, values = "o_max", [acfg.o_max]
@@ -399,7 +356,7 @@ def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
         try:
             # sweep_table sets the swept value itself and rejects unknown params.
             rows.extend(sweep_table(param, [value], **kwargs))
-        except ValueError as exc:
+        except (ValueError, FlowmarkError) as exc:
             raise ConfigError(str(exc)) from exc
 
     verdict = min_flows(acfg.epsilon, acfg.o_max, acfg.delta, p_point)
@@ -416,18 +373,18 @@ def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
             fp_bound(verdict.min_k, p_point, multiplier).raw if verdict.feasible else None
         ),
     }
-    parameters = {"attack": _attack_to_section(acfg), "flow": model_to_section(model)}
+    parameters = {"attack": to_section(acfg), "flow": model_to_section(model)}
     if sweep_echo is not None:
         parameters["sweep"] = sweep_echo
-    return parameters, results, SWEEP_COLUMNS, rows
+    return spec.seed, parameters, results, SWEEP_COLUMNS, rows
 
 
 def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
-    acfg = _attack_config(cfg)
+    acfg = from_section(AttackConfig, cfg, "attack")
     model = _poisson_model(cfg)
     # Default span is one interval so each offset assignment contributes a
     # single alignment, matching the analytic bound's accounting.
-    duration = get_float(cfg, "flow", "duration", None)
+    duration = get(cfg, "flow", "duration", None)
     if duration is None:
         duration = acfg.T
     trials = _resolve_trials(spec, cfg)
@@ -435,7 +392,7 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
     method = _method_name(cfg)
     p = clear_probability(model, acfg.min_length)
 
-    k = get_int(cfg, "experiment", "k", None)
+    k = get(cfg, "experiment", "k", None)
     if k is None:
         verdict = min_flows(acfg.epsilon, acfg.o_max, acfg.delta, p)
         if not verdict.feasible:
@@ -453,7 +410,7 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
     half_width = 1.96 * math.sqrt(max(mc.rate * (1.0 - mc.rate), 1.0 / trials) / trials)
 
     parameters = {
-        "attack": _attack_to_section(acfg),
+        "attack": to_section(acfg),
         "flow": model_to_section(model) | {"duration": repr(duration)},
         "experiment": {"trials": str(trials), "k": str(k), "method": method},
     }
@@ -468,10 +425,10 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
     header = ("trials", "hits", "rate", "ci_halfwidth", "fp_bound", "threshold", "pass")
     verdict = "pass" if passed else "fail"
     rows = [(trials, mc.hits, mc.rate, half_width, mc.fp_bound, mc.ceiling, verdict)]
-    return parameters, results, header, rows
+    return seed, parameters, results, header, rows
 
 
-def _scenario_paper_repro(spec: ExperimentSpec):
+def _scenario_paper_repro(cfg: ConfigDict, spec: ExperimentSpec):
     seed = REPRO_DEFAULT_SEED if spec.seed is None else _require_seed(spec)
     trials = REPRO_DEFAULT_TRIALS if spec.trials is None else spec.trials
     if trials <= 0:
@@ -488,25 +445,34 @@ def _scenario_paper_repro(spec: ExperimentSpec):
     return seed, parameters, results, header, rows
 
 
+# Each scenario: its help text, its runner, and whether it reads an INI config.
+# A runner returns the seed it ran with, the parameter echo, the results and
+# the CSV header and rows.
+SCENARIOS = {
+    "generate": ("draw unwatermarked flows from a traffic model", _scenario_generate, True),
+    "embed": ("generate flows and embed the configured watermark", _scenario_embed, True),
+    "detect": ("run the detector over flows listed in a manifest", _scenario_detect, True),
+    "attack": ("run the multi-flow attack over flows in a manifest", _scenario_attack, True),
+    "bounds": ("tabulate feasibility and false-positive bounds", _scenario_bounds, True),
+    "montecarlo": (
+        "measure the attack false-positive rate against its bound", _scenario_montecarlo, True
+    ),
+    "paper-repro": (
+        "recompute the reference results and report pass/fail", _scenario_paper_repro, False
+    ),
+}
+
+
 def run(spec: ExperimentSpec) -> ExperimentReport:
     """Execute one scenario and write its report files."""
     start = time.perf_counter()
-    seed = spec.seed
-    if spec.scenario == "paper-repro":
-        seed, parameters, results, header, rows = _scenario_paper_repro(spec)
-    else:
+    _, runner, reads_config = SCENARIOS[spec.scenario]
+    cfg: ConfigDict = {}
+    if reads_config:
         if spec.config_path is None:
             raise ConfigError(f"{spec.scenario} requires --config")
         cfg = load_config(spec.config_path)
-        runner = {
-            "generate": _scenario_generate,
-            "embed": _scenario_embed,
-            "detect": _scenario_detect,
-            "attack": _scenario_attack,
-            "bounds": _scenario_bounds,
-            "montecarlo": _scenario_montecarlo,
-        }[spec.scenario]
-        parameters, results, header, rows = runner(cfg, spec)
+    seed, parameters, results, header, rows = runner(cfg, spec)
 
     report = ExperimentReport(
         scenario=spec.scenario,
@@ -564,18 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="scenario", metavar="SCENARIO", required=True)
-    helps = {
-        "generate": "draw unwatermarked flows from a traffic model",
-        "embed": "generate flows and embed the configured watermark",
-        "detect": "run the detector over flows listed in a manifest",
-        "attack": "run the multi-flow attack over flows in a manifest",
-        "bounds": "tabulate feasibility and false-positive bounds",
-        "montecarlo": "measure the attack false-positive rate against its bound",
-        "paper-repro": "recompute the reference results and report pass/fail",
-    }
-    for name in SCENARIOS:
-        p = sub.add_parser(name, help=helps[name])
-        if name != "paper-repro":
+    for name, (help_text, _, reads_config) in SCENARIOS.items():
+        p = sub.add_parser(name, help=help_text)
+        if reads_config:
             p.add_argument("--config", type=Path, required=True, help="INI experiment config")
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed")

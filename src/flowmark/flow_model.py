@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import (
+    BadParameter,
     BadProbability,
     FlowFileError,
     InvalidDuration,
@@ -113,7 +114,7 @@ class PoissonModel:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rate) or self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+            raise BadParameter(f"rate must be positive, got {self.rate}")
 
 
 class TableLookup(NamedTuple):
@@ -134,18 +135,18 @@ class EmpiricalModel:
     def __post_init__(self) -> None:
         pts = tuple((float(t), float(p)) for t, p in self.table)
         if not pts:
-            raise ValueError("empirical table must not be empty")
+            raise BadParameter("empirical table must not be empty")
         for t, p in pts:
             if t < 0:
-                raise ValueError(f"window length {t} is negative")
+                raise BadParameter(f"window length {t} is negative")
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
+                raise BadParameter(f"probability {p} outside [0, 1]")
         ts = [t for t, _ in pts]
         if sorted(set(ts)) != ts:
-            raise ValueError("window lengths must be strictly increasing")
+            raise BadParameter("window lengths must be strictly increasing")
         ps = [p for _, p in pts]
         if any(b > a for a, b in zip(ps, ps[1:])):
-            raise ValueError("clear probabilities must be non-increasing in t")
+            raise BadParameter("clear probabilities must be non-increasing in t")
         object.__setattr__(self, "table", pts)
 
     def lookup(self, t: float) -> TableLookup:

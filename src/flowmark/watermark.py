@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .analysis import ceil_snapped
-from .errors import BadDelta, BadFraction, ConfigError, FlowmarkError, FlowTooShort
+from .errors import BadDelta, BadFraction, BadParameter, FlowTooShort
 from .flow_model import Flow, FlowModel, draw_width, generate_block
 from .seeds import check_seed, derive_from, derive_seed, seed_prefix
 
@@ -44,17 +44,17 @@ class WatermarkParams:
 
     def __post_init__(self) -> None:
         if self.T <= 0 or not math.isfinite(self.T):
-            raise ValueError(f"interval length must be positive, got {self.T}")
+            raise BadParameter(f"interval length must be positive, got {self.T}")
         if self.o_max < 0 or not math.isfinite(self.o_max):
-            raise ValueError(f"o_max must be non-negative, got {self.o_max}")
+            raise BadParameter(f"o_max must be non-negative, got {self.o_max}")
         if not 0 <= self.o <= self.o_max:
-            raise ValueError(
+            raise BadParameter(
                 f"offset must lie in [0, o_max={self.o_max}], got {self.o}"
             )
         if not 0 < self.delta <= self.T or not math.isfinite(self.delta):
             raise BadDelta(f"delta must be in (0, T={self.T}], got {self.delta}")
         if self.n < 1:
-            raise ValueError(f"interval count must be at least 1, got {self.n}")
+            raise BadParameter(f"interval count must be at least 1, got {self.n}")
         check_seed(self.key)
         if not 0.0 < self.clear_fraction < 1.0:
             raise BadFraction(
@@ -74,12 +74,12 @@ class ClearPattern:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"interval count must be at least 1, got {self.n}")
+            raise BadParameter(f"interval count must be at least 1, got {self.n}")
         object.__setattr__(self, "cleared", frozenset(self.cleared))
         if not self.cleared:
-            raise ValueError("pattern must clear at least one interval")
+            raise BadParameter("pattern must clear at least one interval")
         if not all(0 <= i < self.n for i in self.cleared):
-            raise ValueError("cleared indices must lie in [0, n)")
+            raise BadParameter("cleared indices must lie in [0, n)")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def derive_pattern(key: int, n: int, clear_fraction: float) -> ClearPattern:
     """Pseudorandom size-ceil(clear_fraction * n) subset, deterministic in key."""
     check_seed(key)
     if n < 1:
-        raise ValueError(f"interval count must be at least 1, got {n}")
+        raise BadParameter(f"interval count must be at least 1, got {n}")
     if not 0.0 < clear_fraction < 1.0:
         raise BadFraction(f"clear_fraction must be in (0, 1), got {clear_fraction}")
     size = max(1, ceil_snapped(clear_fraction * n))
@@ -139,7 +139,7 @@ def offset_candidates(o_max: float, delta: float) -> list[float]:
     if delta <= 0 or not math.isfinite(delta):
         raise BadDelta(f"delta must be positive, got {delta}")
     if o_max < 0 or not math.isfinite(o_max):
-        raise ValueError(f"o_max must be non-negative, got {o_max}")
+        raise BadParameter(f"o_max must be non-negative, got {o_max}")
     steps = ceil_snapped(o_max / delta) if o_max > 0 else 0
     candidates = [i * delta for i in range(steps)]
     candidates.append(o_max)
@@ -177,9 +177,9 @@ def detect(flow: Flow, params: WatermarkParams) -> DetectionResult:
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """95% (by default) Wilson score interval for a binomial proportion."""
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise BadParameter("trials must be positive")
     if not 0 <= successes <= trials:
-        raise ValueError("successes must lie in [0, trials]")
+        raise BadParameter("successes must lie in [0, trials]")
     phat = successes / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
@@ -203,7 +203,7 @@ def false_positive_rate(
     trials for the interval to mean anything.
     """
     if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+        raise BadParameter(f"need at least 100 trials, got {trials}")
     prefix = seed_prefix(seed, "fpr-trial")
     duration = params.o_max + params.n * params.T
     per_block = max(1, _BLOCK_GAPS // draw_width(model, duration))
@@ -214,45 +214,3 @@ def false_positive_rate(
         hits += sum(detect(block.flow(r), params).detected for r in range(len(seeds)))
     lo, hi = wilson_interval(hits, trials)
     return hits / trials, (hi - lo) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Flat config-section serialization ([watermark] in experiment configs).
-# ---------------------------------------------------------------------------
-
-_SECTION_FIELDS = ("T", "o", "o_max", "delta", "n", "key", "clear_fraction")
-
-
-def params_to_section(params: WatermarkParams) -> dict[str, str]:
-    """Render parameters as the flat key/value mapping of a [watermark] section."""
-    return {
-        "T": repr(params.T),
-        "o": repr(params.o),
-        "o_max": repr(params.o_max),
-        "delta": repr(params.delta),
-        "n": str(params.n),
-        "key": str(params.key),
-        "clear_fraction": repr(params.clear_fraction),
-    }
-
-
-def params_from_section(section: Mapping[str, str]) -> WatermarkParams:
-    """Parse a [watermark] mapping; unknown or missing keys are rejected."""
-    unknown = sorted(set(section) - set(_SECTION_FIELDS))
-    if unknown:
-        raise ConfigError(f"unknown [watermark] key: {unknown[0]}")
-    missing = [k for k in _SECTION_FIELDS if k not in section]
-    if missing:
-        raise ConfigError(f"missing [watermark] key: {missing[0]}")
-    try:
-        return WatermarkParams(
-            T=float(section["T"]),
-            o=float(section["o"]),
-            o_max=float(section["o_max"]),
-            delta=float(section["delta"]),
-            n=int(section["n"]),
-            key=int(section["key"]),
-            clear_fraction=float(section["clear_fraction"]),
-        )
-    except (TypeError, ValueError, FlowmarkError) as exc:
-        raise ConfigError(f"bad [watermark] value: {exc}") from exc

@@ -6,20 +6,18 @@ import random
 import pytest
 
 from flowmark import (
-    BoundInputs,
     PoissonModel,
     REFERENCE_CLEAR_TABLE,
     clear_probability,
     countermeasure_is_effective,
     countermeasure_threshold,
     fp_bound,
-    fp_bound_for,
     min_flows,
     offset_multiplier,
     sweep_table,
 )
 from flowmark.analysis import SWEEP_COLUMNS, ceil_snapped
-from flowmark.errors import BadDelta, BadProbability
+from flowmark.errors import BadDelta, BadProbability, SearchSpaceTooLarge
 
 
 class TestCeilSnapped:
@@ -35,6 +33,11 @@ class TestCeilSnapped:
 
     def test_does_not_snap_real_excess(self):
         assert ceil_snapped(3.001) == 4
+
+    def test_overflowed_count_is_a_toolkit_error(self):
+        # 1e308 / 0.45 overflows to inf, which no int can hold.
+        with pytest.raises(SearchSpaceTooLarge):
+            ceil_snapped(1e308 / 0.45)
 
 
 class TestOffsetMultiplier:
@@ -107,11 +110,6 @@ class TestFpBound:
 
     def test_monotone_in_multiplier(self):
         assert fp_bound(4, 0.2, 3).raw > fp_bound(4, 0.2, 2).raw
-
-    def test_inputs_wrapper_matches(self):
-        inputs = BoundInputs(k=10, o_max=0.9, delta=0.45, p=0.276, epsilon=1e-5)
-        assert inputs.multiplier == 2
-        assert fp_bound_for(inputs).raw == fp_bound(10, 0.276, 2).raw
 
 
 class TestMinFlows:

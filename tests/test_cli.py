@@ -1,8 +1,12 @@
 """Config parsing and the command-line experiment harness."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flowmark import load_config, parse_config, render_config
 from flowmark.cli import (
@@ -15,10 +19,11 @@ from flowmark.cli import (
     main,
     run,
 )
-from flowmark.config import get_float, get_int, get_value, model_from_config
+from flowmark.config import SECTIONS, from_section, get, model_from_config, to_section
 from flowmark.errors import ConfigError
-from flowmark.flow_model import PoissonModel, read_flow
+from flowmark.flow_model import PoissonModel, generate_flow, read_flow, write_flow
 from flowmark.mfa import read_manifest
+from flowmark.watermark import WatermarkParams
 
 GEN_INI = """[flow]
 model = poisson
@@ -70,6 +75,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("rate = 3.0\n")
 
+    @pytest.mark.parametrize("text", ["rate = 3.0\n", "[flow]\nmodel\n  x\n"])
+    def test_malformed_ini_message_is_one_line(self, text):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert "\n" not in str(info.value)
+
     def test_render_round_trip(self):
         cfg = parse_config(GEN_INI + "\n" + ATTACK_SECTION)
         assert parse_config(render_config(cfg)) == cfg
@@ -82,14 +93,14 @@ class TestParseConfig:
 
     def test_value_helpers(self):
         cfg = parse_config(GEN_INI)
-        assert get_value(cfg, "flow", "model") == "poisson"
-        assert get_float(cfg, "flow", "rate") == 3.0
-        assert get_int(cfg, "experiment", "trials") == 3
-        assert get_float(cfg, "flow", "missing", None) is None
+        assert get(cfg, "flow", "model") == "poisson"
+        assert get(cfg, "flow", "rate") == 3.0
+        assert get(cfg, "experiment", "trials") == 3
+        assert get(cfg, "flow", "table", None) is None
         with pytest.raises(ConfigError, match="missing"):
-            get_value(cfg, "flow", "missing")
-        with pytest.raises(ConfigError, match="rate"):
-            get_int(cfg, "flow", "rate")
+            get(cfg, "flow", "table")
+        with pytest.raises(ConfigError, match=r"\[experiment\] trials must be an integer"):
+            get(parse_config("[experiment]\ntrials = 3.5\n"), "experiment", "trials")
 
     def test_model_from_config(self):
         model = model_from_config(parse_config(GEN_INI))
@@ -109,6 +120,48 @@ class TestParseConfig:
         cfg = parse_config("[flow]\nmodel = empirical\ntable = nonsense\n")
         with pytest.raises(ConfigError):
             model_from_config(cfg)
+
+    @pytest.mark.parametrize("scenario", ["generate", "detect", "attack", "bounds"])
+    def test_non_utf8_config_is_a_one_line_config_error(self, tmp_path, capsys, scenario):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff\xfe[attack]\n")
+        rc = run_cli(scenario, "--config", cfg, "--out", tmp_path / "o", "--seed", "1")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.ini" in err
+
+
+class TestParamsConfigSection:
+    def params(self) -> WatermarkParams:
+        return WatermarkParams(
+            T=0.9, o=0.45, o_max=0.9, delta=0.45, n=20, key=987654321, clear_fraction=0.5
+        )
+
+    def test_round_trip(self):
+        params = self.params()
+        assert from_section(WatermarkParams, {"watermark": to_section(params)}, "watermark") == params
+
+    def test_section_values_are_strings(self):
+        section = to_section(self.params())
+        assert all(isinstance(v, str) for v in section.values())
+
+    def test_rejects_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "det.ini"
+        cfg.write_text(WATERMARK_SECTION + "period = 0.9\n\n[experiment]\nmanifest = m.txt\n")
+        assert run_cli("detect", "--config", cfg, "--out", tmp_path / "o") == EXIT_CONFIG
+        assert "'period'" in capsys.readouterr().err
+
+    def test_rejects_missing_key(self):
+        section = to_section(self.params())
+        del section["delta"]
+        with pytest.raises(ConfigError, match="delta"):
+            from_section(WatermarkParams, {"watermark": section}, "watermark")
+
+    def test_rejects_bad_value(self):
+        section = to_section(self.params())
+        section["delta"] = "-1"
+        with pytest.raises(ConfigError):
+            from_section(WatermarkParams, {"watermark": section}, "watermark")
 
 
 @pytest.fixture
@@ -411,6 +464,21 @@ class TestBoundsScenario:
         assert bases[0] == pytest.approx(2 * 0.525, rel=1e-12)
         assert bases[2] == pytest.approx(2 * 0.276, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "param, values", [("delta", "0"), ("delta", "nan"), ("o_max", "inf"), ("o_max", "1e308")]
+    )
+    def test_bad_sweep_value_is_config_error(self, tmp_path, capsys, param, values):
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            "[flow]\nmodel = poisson\nrate = 3.0\n\n"
+            + ATTACK_SECTION
+            + f"\n[sweep]\nparam = {param}\nvalues = {values}\n"
+        )
+        rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error:")
+
     def test_unknown_sweep_param_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bounds.ini"
         cfg.write_text(
@@ -551,3 +619,100 @@ class TestReproNegativeControl:
         bad = closed_form_cases(p_450ms=0.3)
         names = {case.name: case.passed for case in bad}
         assert names["min-flows-900ms-offsets"] is False
+
+
+# Values for any key: numbers, non-finite, garbage, empty, and the words and
+# shapes some keys expect.
+FUZZ_VALUES = (
+    "0", "1", "3", "-1", "0.45", "0.9", "0.5", "1e-5", "3.5", "12345", "1e308",
+    "nan", "inf", "-inf", "", "x", "poisson", "empirical", "bnb", "fixed", "exhaustive",
+    "delta", "o_max", "0.175:0.525, 0.45:0.276", "0.45, 0.9", "manifest.txt",
+)
+# A working value per key, so that draws also get past the config checks.
+FUZZ_GOOD = {
+    "model": "poisson", "rate": "3", "table": "0.175:0.525, 0.45:0.276", "duration": "20",
+    "T": "0.9", "o": "0.45", "o_max": "0.9", "delta": "0.45", "n": "12", "key": "5",
+    "clear_fraction": "0.5", "epsilon": "1e-5", "quantum": "0.05", "trials": "1", "k": "3",
+    "manifest": "manifest.txt", "method": "bnb", "param": "o_max", "values": "0.45, 0.9",
+}
+
+
+@st.composite
+def config_bytes(draw) -> bytes:
+    """INI text over SECTIONS' keys, or raw (often non-UTF-8) bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([b"", b"\xff\xfe"])) + draw(st.binary(max_size=40))
+    # Each section, key and working value is left out one time in ten.
+    often = st.integers(0, 9).map(bool)
+    chunks = []
+    for section, keys in SECTIONS.items():
+        if not draw(often):
+            continue
+        lines = [f"[{section}]"]
+        for key in keys:
+            if draw(often):
+                value = FUZZ_GOOD[key] if draw(often) else draw(st.sampled_from(FUZZ_VALUES))
+                lines.append(f"{key} = {value}")
+        chunks.append("\n".join(lines) + "\n")
+    prefix = b"\xff\xfe" if draw(st.integers(0, 9)) == 0 else b""
+    return prefix + "\n".join(chunks).encode()
+
+
+def too_much_work(text: bytes, scenario: str) -> bool:
+    """Work bound: at most 10^4 expected packets per flow, intervals and
+    offsets per flow, and k <= 20 (min_flows can ask for millions of flows,
+    so montecarlo runs need an explicit k)."""
+    try:
+        cfg = parse_config(text.decode("utf-8"))
+    except (UnicodeDecodeError, ConfigError):
+        return False
+
+    def num(section: str, key: str) -> float:
+        try:
+            return float(cfg.get(section, {}).get(key, "0"))
+        except ValueError:
+            return 0.0
+
+    seconds = max(
+        num("flow", "duration"),
+        num("attack", "T"),
+        num("watermark", "o_max") + num("watermark", "n") * num("watermark", "T"),
+    )
+    offsets = [num(s, "o_max") / num(s, "delta") for s in ("attack", "watermark") if num(s, "delta") > 0]
+    k = cfg.get("experiment", {}).get("k")
+    return (
+        num("flow", "rate") * seconds > 1e4
+        or num("watermark", "n") > 1e4
+        or any(count > 1e4 for count in offsets)
+        or (scenario == "montecarlo" and k is None)
+        or num("experiment", "k") > 20
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding manifest.txt, which lists two short flows."""
+    base = tmp_path_factory.mktemp("fuzz")
+    for i in range(2):
+        write_flow(generate_flow(PoissonModel(3.0), 20.0, i), base / f"flow_{i}.txt")
+    (base / "manifest.txt").write_text("flow_0.txt\nflow_1.txt\n")
+    return base
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scenario=st.sampled_from(["generate", "embed", "detect", "attack", "bounds", "montecarlo"]),
+    text=config_bytes(),
+)
+def test_fuzzed_config_ends_in_an_exit_code(fuzz_dir, scenario, text):
+    assume(not too_much_work(text, scenario))
+    cfg = fuzz_dir / "fuzz.ini"
+    cfg.write_bytes(text)
+    argv = [scenario, "--config", str(cfg), "--out", str(fuzz_dir / "out"),
+            "--seed", "1", "--trials", "1", "--force"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in {EXIT_OK, EXIT_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_INFEASIBLE}
+    if rc != EXIT_OK:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -24,7 +24,9 @@ from flowmark import (
     write_flow,
 )
 from flowmark.errors import (
+    BadParameter,
     BadProbability,
+    FlowmarkError,
     FlowFileError,
     InvalidDuration,
     NegativeWindow,
@@ -260,6 +262,24 @@ class TestClearProbability:
     def test_table_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             EmpiricalModel(table=((0.1, 1.5),))
+
+
+# Every plain-value check of the flow models, one call each.
+BAD_MODELS = {
+    "poisson rate": lambda: PoissonModel(0.0),
+    "table empty": lambda: EmpiricalModel(table=()),
+    "table negative window": lambda: EmpiricalModel(table=((-0.1, 0.5),)),
+    "table probability": lambda: EmpiricalModel(table=((0.1, 1.5),)),
+    "table window order": lambda: EmpiricalModel(table=((0.2, 0.4), (0.1, 0.5))),
+    "table probability order": lambda: EmpiricalModel(table=((0.1, 0.3), (0.2, 0.4))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_MODELS))
+def test_bad_model_is_a_toolkit_error(site):
+    with pytest.raises(BadParameter) as info:
+        BAD_MODELS[site]()
+    assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)
 
 
 class TestEstimateClearProbability:

@@ -29,12 +29,12 @@ from flowmark import (
 from flowmark.errors import (
     BadDelta,
     BadFraction,
-    ConfigError,
+    BadParameter,
+    FlowmarkError,
     FlowTooShort,
     NonGenerativeModel,
 )
 from flowmark import watermark
-from flowmark.watermark import params_from_section, params_to_section
 
 # Keys found by scanning upward from zero for specific small patterns;
 # frozen so the golden embeddings below stay readable.
@@ -477,34 +477,32 @@ class TestFalsePositiveRate:
         assert r_single < r_multi
 
 
-class TestParamsConfigSection:
-    def params(self) -> WatermarkParams:
-        return WatermarkParams(
-            T=0.9, o=0.45, o_max=0.9, delta=0.45, n=20, key=987654321, clear_fraction=0.5
-        )
+def reference_params(**changes) -> WatermarkParams:
+    values = dict(T=0.9, o=0.45, o_max=0.9, delta=0.45, n=20, key=987654321, clear_fraction=0.5)
+    return WatermarkParams(**(values | changes))
 
-    def test_round_trip(self):
-        params = self.params()
-        assert params_from_section(params_to_section(params)) == params
 
-    def test_section_values_are_strings(self):
-        section = params_to_section(self.params())
-        assert all(isinstance(v, str) for v in section.values())
+# Every plain-value check of the watermark module, one call each.
+BAD_PARAMETERS = {
+    "params T": lambda: reference_params(T=0.0),
+    "params o_max": lambda: reference_params(o=0.0, o_max=-0.1),
+    "params o": lambda: reference_params(o=1.0),
+    "params n": lambda: reference_params(n=0),
+    "pattern n": lambda: ClearPattern(n=0, cleared={0}),
+    "pattern empty": lambda: ClearPattern(n=2, cleared=set()),
+    "pattern index": lambda: ClearPattern(n=2, cleared={2}),
+    "derive_pattern n": lambda: derive_pattern(1, 0, 0.5),
+    "offset_candidates o_max": lambda: offset_candidates(-0.1, 0.45),
+    "wilson trials": lambda: wilson_interval(0, 0),
+    "wilson successes": lambda: wilson_interval(3, 2),
+    "false_positive_rate trials": lambda: false_positive_rate(
+        PoissonModel(3.0), reference_params(), 99, 0
+    ),
+}
 
-    def test_rejects_unknown_key(self):
-        section = params_to_section(self.params())
-        section["period"] = "0.9"
-        with pytest.raises(ConfigError, match="period"):
-            params_from_section(section)
 
-    def test_rejects_missing_key(self):
-        section = params_to_section(self.params())
-        del section["delta"]
-        with pytest.raises(ConfigError, match="delta"):
-            params_from_section(section)
-
-    def test_rejects_bad_value(self):
-        section = params_to_section(self.params())
-        section["delta"] = "-1"
-        with pytest.raises(ConfigError):
-            params_from_section(section)
+@pytest.mark.parametrize("site", sorted(BAD_PARAMETERS))
+def test_bad_parameter_is_a_toolkit_error(site):
+    with pytest.raises(BadParameter) as info:
+        BAD_PARAMETERS[site]()
+    assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)
