@@ -141,15 +141,15 @@ def to_section(obj) -> dict[str, str]:
     return {f.name: repr(getattr(obj, f.name)) for f in fields(obj)}
 
 
-MODELS = {"poisson": PoissonModel, "empirical": EmpiricalModel}
+_MODELS = {"poisson": PoissonModel, "empirical": EmpiricalModel}
 
 
 def model_from_config(cfg: ConfigDict) -> FlowModel:
     """Build the flow model described by a [flow] section."""
     kind = get(cfg, "flow", "model")
-    if kind not in MODELS:
+    if kind not in _MODELS:
         raise ConfigError(f"unknown flow model {kind!r}; expected poisson or empirical")
-    return from_section(MODELS[kind], cfg, "flow")
+    return from_section(_MODELS[kind], cfg, "flow")
 
 
 def model_to_section(model: FlowModel) -> dict[str, str]:

@@ -139,7 +139,8 @@ class TestParamsConfigSection:
 
     def test_round_trip(self):
         params = self.params()
-        assert from_section(WatermarkParams, {"watermark": to_section(params)}, "watermark") == params
+        cfg = {"watermark": to_section(params)}
+        assert from_section(WatermarkParams, cfg, "watermark") == params
 
     def test_section_values_are_strings(self):
         section = to_section(self.params())
@@ -659,9 +660,9 @@ def config_bytes(draw) -> bytes:
 
 
 def too_much_work(text: bytes, scenario: str) -> bool:
-    """Work bound: at most 10^4 expected packets per flow, intervals and
-    offsets per flow, and k <= 20 (min_flows can ask for millions of flows,
-    so montecarlo runs need an explicit k)."""
+    """Work bound: at most 10^4 expected packets per flow, intervals, and
+    offsets per flow (the offset grids are built as lists), and k <= 20
+    (min_flows can ask for millions of flows, so montecarlo needs a k)."""
     try:
         cfg = parse_config(text.decode("utf-8"))
     except (UnicodeDecodeError, ConfigError):
@@ -678,7 +679,9 @@ def too_much_work(text: bytes, scenario: str) -> bool:
         num("attack", "T"),
         num("watermark", "o_max") + num("watermark", "n") * num("watermark", "T"),
     )
-    offsets = [num(s, "o_max") / num(s, "delta") for s in ("attack", "watermark") if num(s, "delta") > 0]
+    offsets = [
+        num(s, "o_max") / num(s, "delta") for s in ("attack", "watermark") if num(s, "delta") > 0
+    ]
     k = cfg.get("experiment", {}).get("k")
     return (
         num("flow", "rate") * seconds > 1e4
