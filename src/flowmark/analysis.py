@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
-from .errors import BadDelta, BadProbability, SearchSpaceTooLarge
+from .errors import BadDelta, BadParameter, BadProbability, SearchSpaceTooLarge
 
 # Ratios that land within this relative distance of an integer are treated
 # as exact before ceiling, so 0.9 / 0.3 = 3.0000000000000004 does not
@@ -41,7 +41,7 @@ def offset_multiplier(o_max: float, delta: float) -> int:
     if delta <= 0 or not math.isfinite(delta):
         raise BadDelta(f"delta must be positive, got {delta}")
     if o_max < 0 or not math.isfinite(o_max):
-        raise ValueError(f"o_max must be non-negative, got {o_max}")
+        raise BadParameter(f"o_max must be non-negative, got {o_max}")
     if o_max == 0:
         return 1
     return max(1, ceil_snapped(o_max / delta))
@@ -61,11 +61,11 @@ def fp_bound(k: int, p: float, multiplier: int = 1) -> FpBound:
     value may exceed 1 when multiplier * p >= 1, the clamp never does.
     """
     if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+        raise BadParameter(f"k must be at least 1, got {k}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+        raise BadParameter(f"p must be in [0, 1], got {p}")
     if multiplier < 1:
-        raise ValueError(f"multiplier must be at least 1, got {multiplier}")
+        raise BadParameter(f"multiplier must be at least 1, got {multiplier}")
     base = multiplier * p
     if base == 0.0:
         raw = 0.0
@@ -92,9 +92,9 @@ class FeasibilityVerdict:
 def min_flows(epsilon: float, o_max: float, delta: float, p: float) -> FeasibilityVerdict:
     """Smallest k with (multiplier * p)^k < epsilon, by logs with a power re-check."""
     if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+        raise BadParameter(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+        raise BadParameter(f"p must be in [0, 1], got {p}")
     multiplier = offset_multiplier(o_max, delta)
     base = multiplier * p
     threshold = math.inf if p == 0.0 else delta / p
@@ -126,7 +126,7 @@ def countermeasure_threshold(T: float, p_half: float) -> float:
     is o_max = T / (2 * p_half).
     """
     if T <= 0 or not math.isfinite(T):
-        raise ValueError(f"interval length must be positive, got {T}")
+        raise BadParameter(f"interval length must be positive, got {T}")
     if not 0.0 < p_half <= 1.0:
         raise BadProbability(
             f"clear probability at T/2 must be in (0, 1], got {p_half}"
@@ -137,7 +137,7 @@ def countermeasure_threshold(T: float, p_half: float) -> float:
 def countermeasure_is_effective(o_max: float, T: float, p_half: float) -> bool:
     """True when the discrete bound base ceil(o_max / (T/2)) * p_half is >= 1."""
     if T <= 0 or not math.isfinite(T):
-        raise ValueError(f"interval length must be positive, got {T}")
+        raise BadParameter(f"interval length must be positive, got {T}")
     if not 0.0 < p_half <= 1.0:
         raise BadProbability(
             f"clear probability at T/2 must be in (0, 1], got {p_half}"
@@ -167,7 +167,7 @@ def sweep_table(
     that recompute p(T - delta); here T is carried for interface parity.
     """
     if param not in _SWEEPABLE:
-        raise ValueError(f"cannot sweep {param!r}; choose one of {_SWEEPABLE}")
+        raise BadParameter(f"cannot sweep {param!r}; choose one of {_SWEEPABLE}")
     fixed = {"T": T, "delta": delta, "o_max": o_max, "epsilon": epsilon, "p": p}
     rows: list[tuple[float, int, float, str, str]] = []
     for value in values:

@@ -12,16 +12,14 @@ Exit codes: 0 success, 1 runtime failure, 2 bad config or usage,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from typing import Optional
 
 from . import __version__
 from .analysis import SWEEP_COLUMNS, fp_bound, min_flows, offset_multiplier, sweep_table
@@ -36,6 +34,7 @@ from .config import (
 )
 from .errors import ConfigError, FlowmarkError, InfeasibleScenario
 from .flow_model import (
+    Flow,
     PoissonModel,
     clear_probability,
     generate_flow,
@@ -53,49 +52,16 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything a scenario run needs, resolved from argv."""
 
-    scenario: str
-    out_dir: Path
-    config_path: Optional[Path] = None
-    seed: Optional[int] = None
-    trials: Optional[int] = None
-    force: bool = False
-    format: str = "both"
+class Outcome(NamedTuple):
+    """What one scenario run reports: the seed it ran with, the parameter
+    echo, the results, the CSV rows keyed by column, and the summary main prints."""
 
-
-@dataclass
-class ExperimentReport:
-    """Result of one scenario run, ready for serialization."""
-
-    scenario: str
     seed: Optional[int]
     parameters: ConfigDict
     results: dict
-    csv_header: tuple[str, ...]
-    csv_rows: list[tuple]
-    wall_clock_s: float = 0.0
-    version: str = __version__
-
-    def json_text(self) -> str:
-        doc = {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "parameters": self.parameters,
-            "results": self.results,
-            "csv_header": list(self.csv_header),
-            "wall_clock_s": self.wall_clock_s,
-            "version": self.version,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    def csv_text(self) -> str:
-        lines = [",".join(self.csv_header)]
-        for row in self.csv_rows:
-            lines.append(",".join(_csv_cell(value) for value in row))
-        return "\n".join(lines) + "\n"
+    rows: list[dict]
+    summary: str
 
 
 def _csv_cell(value) -> str:
@@ -111,17 +77,17 @@ def _csv_cell(value) -> str:
     return text
 
 
-def _require_seed(spec: ExperimentSpec) -> int:
-    if spec.seed is None:
-        raise ConfigError(f"{spec.scenario} is randomized; pass --seed")
+def _require_seed(args: argparse.Namespace) -> int:
+    if args.seed is None:
+        raise ConfigError(f"{args.scenario} is randomized; pass --seed")
     try:
-        return check_seed(spec.seed)
+        return check_seed(args.seed)
     except FlowmarkError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_trials(spec: ExperimentSpec, cfg: ConfigDict, what: str = "trials") -> int:
-    trials = spec.trials
+def _resolve_trials(args: argparse.Namespace, cfg: ConfigDict, what: str = "trials") -> int:
+    trials = args.trials
     if trials is None:
         trials = get(cfg, "experiment", "trials", None)
     if trials is None:
@@ -138,121 +104,113 @@ def _poisson_model(cfg: ConfigDict) -> PoissonModel:
     return model
 
 
-def _manifest_flows(cfg: ConfigDict, spec: ExperimentSpec):
-    raw = get(cfg, "experiment", "manifest")
-    manifest = Path(raw)
-    if not manifest.is_absolute() and spec.config_path is not None:
-        manifest = spec.config_path.parent / manifest
+def _manifest_flows(cfg: ConfigDict, args: argparse.Namespace):
+    manifest = args.config.parent / get(cfg, "experiment", "manifest")
     paths = read_manifest(manifest)
     if not paths:
         raise ConfigError(f"manifest {manifest} lists no flows")
     return paths, [read_flow(p) for p in paths]
 
 
-def _write_text(path: Path, text: str, force: bool) -> None:
+def _writable(path: Path, force: bool) -> Path:
+    """The path, its directory made, unless it exists and --force was not given."""
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    return path
 
 
-def _write_flow_file(flow, path: Path, force: bool) -> None:
-    if path.exists() and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_flow(flow, path)
-
-
-def _write_manifest(rel_paths: list[str], spec: ExperimentSpec) -> None:
+def _write_flows(
+    count: int, draw: Callable[[int], tuple[Flow, dict]], args: argparse.Namespace
+) -> list[dict]:
+    """Write the flow draw(i) gives to flows/flow_<i>.txt under --out, one at a
+    time, then a manifest; return the rows draw gives, with index and path."""
+    rows = []
+    for i in range(count):
+        flow, row = draw(i)
+        rel = f"flows/flow_{i:05d}.txt"
+        write_flow(flow, _writable(args.out / rel, args.force))
+        rows.append({"flow_index": i, **row, "path": rel})
     # Entries resolve relative to the manifest, so detect/attack configs can
     # point at <out>/manifest.txt directly.
-    _write_text(spec.out_dir / "manifest.txt", "\n".join(rel_paths) + "\n", spec.force)
+    manifest = _writable(args.out / "manifest.txt", args.force)
+    manifest.write_text("".join(f"{row['path']}\n" for row in rows), encoding="utf-8")
+    return rows
 
 
-def _scenario_generate(cfg: ConfigDict, spec: ExperimentSpec):
+def _scenario_generate(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     model = _poisson_model(cfg)
     duration = get(cfg, "flow", "duration")
-    count = _resolve_trials(spec, cfg, what="flow count")
-    seed = _require_seed(spec)
-    rows = []
-    total = 0
-    for i in range(count):
+    count = _resolve_trials(args, cfg, what="flow count")
+    seed = _require_seed(args)
+
+    def draw(i: int) -> tuple[Flow, dict]:
         flow_seed = derive_seed(seed, "generate", i)
         flow = generate_flow(model, duration, flow_seed)
-        rel = f"flows/flow_{i:05d}.txt"
-        _write_flow_file(flow, spec.out_dir / rel, spec.force)
-        total += len(flow)
-        rows.append((i, flow_seed, len(flow), duration, rel))
-    _write_manifest([str(row[-1]) for row in rows], spec)
+        return flow, {"seed": flow_seed, "packets": len(flow), "duration": duration}
+
+    rows = _write_flows(count, draw, args)
+    total = sum(row["packets"] for row in rows)
     parameters = {
         "flow": model_to_section(model) | {"duration": repr(duration)},
         "experiment": {"trials": str(count)},
     }
     results = {"flows": count, "total_packets": total, "mean_packets": total / count}
-    header = ("flow_index", "seed", "packets", "duration", "path")
-    return seed, parameters, results, header, rows
+    return Outcome(seed, parameters, results, rows, f"generate: {count} flows written")
 
 
-def _scenario_embed(cfg: ConfigDict, spec: ExperimentSpec):
+def _scenario_embed(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     model = _poisson_model(cfg)
     params = from_section(WatermarkParams, cfg, "watermark")
     # Default duration covers the detector sweep, not just the embedder.
     duration = get(cfg, "flow", "duration", None)
     if duration is None:
         duration = params.o_max + params.n * params.T
-    count = _resolve_trials(spec, cfg, what="flow count")
-    seed = _require_seed(spec)
-    rows = []
-    delayed_total = 0
-    for i in range(count):
+    count = _resolve_trials(args, cfg, what="flow count")
+    seed = _require_seed(args)
+
+    def draw(i: int) -> tuple[Flow, dict]:
         flow_seed = derive_seed(seed, "embed-flow", i)
         base = generate_flow(model, duration, flow_seed)
         marked = embed(base, params)
         # Timestamps are strictly increasing, so set intersection counts the
         # packets the embedder left untouched.
-        kept = np.intersect1d(base.timestamps, marked.timestamps).size
-        delayed = len(base) - int(kept)
-        rel = f"flows/flow_{i:05d}.txt"
-        _write_flow_file(marked, spec.out_dir / rel, spec.force)
-        delayed_total += delayed
-        rows.append((i, flow_seed, len(marked), delayed, rel))
-    _write_manifest([str(row[-1]) for row in rows], spec)
+        delayed = len(base) - np.intersect1d(base.timestamps, marked.timestamps).size
+        return marked, {"seed": flow_seed, "packets": len(marked), "delayed": delayed}
+
+    rows = _write_flows(count, draw, args)
     parameters = {
         "flow": model_to_section(model) | {"duration": repr(duration)},
         "watermark": to_section(params),
         "experiment": {"trials": str(count)},
     }
-    results = {
-        "flows": count,
-        "delayed_packets": delayed_total,
-        "mean_delayed": delayed_total / count,
-    }
-    header = ("flow_index", "seed", "packets", "delayed", "path")
-    return seed, parameters, results, header, rows
+    total = sum(row["delayed"] for row in rows)
+    results = {"flows": count, "delayed_packets": total, "mean_delayed": total / count}
+    return Outcome(seed, parameters, results, rows, f"embed: {count} flows written")
 
 
-def _scenario_detect(cfg: ConfigDict, spec: ExperimentSpec):
+def _scenario_detect(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     params = from_section(WatermarkParams, cfg, "watermark")
-    paths, flows = _manifest_flows(cfg, spec)
-    rows = []
-    detected = 0
-    for i, (path, flow) in enumerate(zip(paths, flows)):
-        result = detect(flow, params)
-        detected += result.detected
-        rows.append(
-            (i, str(path), result.detected, result.recovered_offset, result.match_score)
-        )
+    paths, flows = _manifest_flows(cfg, args)
+    found = [detect(flow, params) for flow in flows]
+    rows = [
+        {
+            "flow_index": i,
+            "path": str(path),
+            "detected": r.detected,
+            "recovered_offset": r.recovered_offset,
+            "match_score": r.match_score,
+        }
+        for i, (path, r) in enumerate(zip(paths, found))
+    ]
+    detected = sum(r.detected for r in found)
     parameters = {
         "watermark": to_section(params),
         "experiment": {"manifest": get(cfg, "experiment", "manifest")},
     }
-    results = {
-        "flows": len(flows),
-        "detected": detected,
-        "detection_rate": detected / len(flows),
-    }
-    header = ("flow_index", "path", "detected", "recovered_offset", "match_score")
-    return spec.seed, parameters, results, header, rows
+    results = {"flows": len(flows), "detected": detected, "detection_rate": detected / len(flows)}
+    summary = f"detect: {detected}/{len(flows)} flows matched"
+    return Outcome(args.seed, parameters, results, rows, summary)
 
 
 def _method_name(cfg: ConfigDict) -> str:
@@ -262,48 +220,33 @@ def _method_name(cfg: ConfigDict) -> str:
     return method
 
 
-def _scenario_attack(cfg: ConfigDict, spec: ExperimentSpec):
+def _scenario_attack(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     acfg = from_section(AttackConfig, cfg, "attack")
     method = _method_name(cfg)
-    _, flows = _manifest_flows(cfg, spec)
+    _, flows = _manifest_flows(cfg, args)
     finding = attack(method, flows, acfg)
-    window_start = window_length = None
-    assignment = None
-    if finding.matched_window is not None:
-        window_start, window_length = finding.matched_window
-    if finding.offset_assignment is not None:
-        assignment = ";".join(repr(o) for o in finding.offset_assignment)
-    k = len(flows)
-    rows = [
-        (
-            method,
-            k,
-            finding.present,
-            window_start,
-            window_length,
-            assignment,
-            finding.configurations_searched,
-            finding.fp_bound_at_k,
-        )
-    ]
+    window_start, window_length = finding.matched_window or (None, None)
+    assignment = finding.offset_assignment
+    row = {
+        "method": method,
+        "k": len(flows),
+        "present": finding.present,
+        "window_start": window_start,
+        "window_length": window_length,
+        "offset_assignment": None if assignment is None else ";".join(map(repr, assignment)),
+        "configurations_searched": finding.configurations_searched,
+        "fp_bound_at_k": finding.fp_bound_at_k,
+    }
     parameters = {
         "attack": to_section(acfg),
-        "experiment": {
-            "manifest": get(cfg, "experiment", "manifest"),
-            "method": method,
-        },
+        "experiment": {"manifest": get(cfg, "experiment", "manifest"), "method": method},
     }
-    header = (
-        "method",
-        "k",
-        "present",
-        "window_start",
-        "window_length",
-        "offset_assignment",
-        "configurations_searched",
-        "fp_bound_at_k",
+    state = "present" if finding.present else "absent"
+    summary = (
+        f"attack[{method}]: watermark {state} over k={len(flows)} flows "
+        f"({finding.configurations_searched} configurations searched)"
     )
-    return spec.seed, parameters, dict(zip(header, rows[0])), header, rows
+    return Outcome(args.seed, parameters, row, [row], summary)
 
 
 def _sweep_values(raw: str) -> list[float]:
@@ -321,7 +264,7 @@ def _sweep_values(raw: str) -> list[float]:
     return values
 
 
-def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
+def _scenario_bounds(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     acfg = from_section(AttackConfig, cfg, "attack")
     if "flow" not in cfg:
         raise ConfigError("bounds needs a [flow] section to derive the clear probability")
@@ -355,9 +298,10 @@ def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
             kwargs["p"] = prob_at(kwargs["T"], kwargs["delta"])
         try:
             # sweep_table sets the swept value itself and rejects unknown params.
-            rows.extend(sweep_table(param, [value], **kwargs))
-        except (ValueError, FlowmarkError) as exc:
+            (row,) = sweep_table(param, [value], **kwargs)
+        except FlowmarkError as exc:
             raise ConfigError(str(exc)) from exc
+        rows.append(dict(zip(SWEEP_COLUMNS, row)))
 
     verdict = min_flows(acfg.epsilon, acfg.o_max, acfg.delta, p_point)
     multiplier = offset_multiplier(acfg.o_max, acfg.delta)
@@ -376,10 +320,12 @@ def _scenario_bounds(cfg: ConfigDict, spec: ExperimentSpec):
     parameters = {"attack": to_section(acfg), "flow": model_to_section(model)}
     if sweep_echo is not None:
         parameters["sweep"] = sweep_echo
-    return spec.seed, parameters, results, SWEEP_COLUMNS, rows
+    k_text = "unreachable" if verdict.min_k is None else str(verdict.min_k)
+    summary = f"bounds: base {verdict.base:.4g}, min flows {k_text}"
+    return Outcome(args.seed, parameters, results, rows, summary)
 
 
-def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
+def _scenario_montecarlo(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     acfg = from_section(AttackConfig, cfg, "attack")
     model = _poisson_model(cfg)
     # Default span is one interval so each offset assignment contributes a
@@ -387,8 +333,8 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
     duration = get(cfg, "flow", "duration", None)
     if duration is None:
         duration = acfg.T
-    trials = _resolve_trials(spec, cfg)
-    seed = _require_seed(spec)
+    trials = _resolve_trials(args, cfg)
+    seed = _require_seed(args)
     method = _method_name(cfg)
     p = clear_probability(model, acfg.min_length)
 
@@ -422,32 +368,45 @@ def _scenario_montecarlo(cfg: ConfigDict, spec: ExperimentSpec):
         **mc._asdict(),
         "pass": passed,
     }
-    header = ("trials", "hits", "rate", "ci_halfwidth", "fp_bound", "threshold", "pass")
-    verdict = "pass" if passed else "fail"
-    rows = [(trials, mc.hits, mc.rate, half_width, mc.fp_bound, mc.ceiling, verdict)]
-    return seed, parameters, results, header, rows
+    row = {
+        "trials": trials,
+        "hits": mc.hits,
+        "rate": mc.rate,
+        "ci_halfwidth": half_width,
+        "fp_bound": mc.fp_bound,
+        "threshold": mc.ceiling,
+        "pass": "pass" if passed else "fail",
+    }
+    summary = (
+        f"montecarlo: rate {mc.rate:.4g} over {trials} trials ({mc.hits} hits, k={k}), "
+        f"{'within' if passed else 'ABOVE'} bound {mc.fp_bound:.4g}"
+    )
+    return Outcome(seed, parameters, results, [row], summary)
 
 
-def _scenario_paper_repro(cfg: ConfigDict, spec: ExperimentSpec):
-    seed = REPRO_DEFAULT_SEED if spec.seed is None else _require_seed(spec)
-    trials = REPRO_DEFAULT_TRIALS if spec.trials is None else spec.trials
+def _scenario_paper_repro(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
+    seed = REPRO_DEFAULT_SEED if args.seed is None else _require_seed(args)
+    trials = REPRO_DEFAULT_TRIALS if args.trials is None else args.trials
     if trials <= 0:
         raise ConfigError(f"trials must be positive, got {trials}")
     cases, stats = all_cases(seed=seed, trials=trials)
-    rows = [(c.name, c.expected, c.computed, c.display, c.status) for c in cases]
+    rows = [
+        {"case": c.name, "expected": c.expected, "computed": c.computed,
+         "display": c.display, "status": c.status}
+        for c in cases
+    ]
+    passed = sum(c.passed for c in cases)
+    results = {"cases": len(cases), "passed": passed, "monte_carlo": stats}
+    width = max(len(c.name) for c in cases)
+    lines = [
+        f"{c.status:4} {c.name:<{width}}  expected {c.expected}; got {c.display}" for c in cases
+    ]
+    lines.append(f"{passed}/{len(cases)} reference cases pass")
     parameters = {"experiment": {"trials": str(trials)}}
-    results = {
-        "cases": len(cases),
-        "passed": sum(c.passed for c in cases),
-        "monte_carlo": stats,
-    }
-    header = ("case", "expected", "computed", "display", "status")
-    return seed, parameters, results, header, rows
+    return Outcome(seed, parameters, results, rows, "\n".join(lines))
 
 
 # Each scenario: its help text, its runner, and whether it reads an INI config.
-# A runner returns the seed it ran with, the parameter echo, the results and
-# the CSV header and rows.
 SCENARIOS = {
     "generate": ("draw unwatermarked flows from a traffic model", _scenario_generate, True),
     "embed": ("generate flows and embed the configured watermark", _scenario_embed, True),
@@ -463,64 +422,30 @@ SCENARIOS = {
 }
 
 
-def run(spec: ExperimentSpec) -> ExperimentReport:
-    """Execute one scenario and write its report files."""
+def run(args: argparse.Namespace) -> Outcome:
+    """Execute one scenario and write its CSV and report.json under --out."""
     start = time.perf_counter()
-    _, runner, reads_config = SCENARIOS[spec.scenario]
-    cfg: ConfigDict = {}
-    if reads_config:
-        if spec.config_path is None:
-            raise ConfigError(f"{spec.scenario} requires --config")
-        cfg = load_config(spec.config_path)
-    seed, parameters, results, header, rows = runner(cfg, spec)
-
-    report = ExperimentReport(
-        scenario=spec.scenario,
-        seed=seed,
-        parameters=parameters,
-        results=results,
-        csv_header=tuple(header),
-        csv_rows=list(rows),
-        wall_clock_s=time.perf_counter() - start,
-    )
-    stem = spec.scenario.replace("-", "_")
-    if spec.format in ("csv", "both"):
-        _write_text(spec.out_dir / f"{stem}.csv", report.csv_text(), spec.force)
-    if spec.format in ("json", "both"):
-        _write_text(spec.out_dir / "report.json", report.json_text(), spec.force)
-    return report
-
-
-def _print_summary(report: ExperimentReport, out_dir: Path) -> None:
-    if report.scenario == "paper-repro":
-        name_width = max(len(str(row[0])) for row in report.csv_rows)
-        for name, expected, _, display, status in report.csv_rows:
-            print(f"{status:4} {name:<{name_width}}  expected {expected}; got {display}")
-        print(f"{report.results['passed']}/{report.results['cases']} reference cases pass")
-    elif report.scenario == "montecarlo":
-        r = report.results
-        verdict = "within" if r["pass"] else "ABOVE"
-        print(
-            f"montecarlo: rate {r['rate']:.4g} over {r['trials']} trials "
-            f"({r['hits']} hits, k={r['k']}), {verdict} bound {r['fp_bound']:.4g}"
-        )
-    elif report.scenario == "attack":
-        r = report.results
-        state = "present" if r["present"] else "absent"
-        print(
-            f"attack[{r['method']}]: watermark {state} over k={r['k']} flows "
-            f"({r['configurations_searched']} configurations searched)"
-        )
-    elif report.scenario == "bounds":
-        r = report.results
-        k_text = "unreachable" if r["min_k"] is None else str(r["min_k"])
-        print(f"bounds: base {r['base']:.4g}, min flows {k_text}")
-    elif report.scenario == "detect":
-        r = report.results
-        print(f"detect: {r['detected']}/{r['flows']} flows matched")
-    else:
-        print(f"{report.scenario}: {report.results['flows']} flows written")
-    print(f"report written to {out_dir}")
+    _, runner, reads_config = SCENARIOS[args.scenario]
+    outcome = runner(load_config(args.config) if reads_config else {}, args)
+    header = list(outcome.rows[0])
+    report = {
+        "scenario": args.scenario,
+        "seed": outcome.seed,
+        "parameters": outcome.parameters,
+        "results": outcome.results,
+        "csv_header": header,
+        "wall_clock_s": time.perf_counter() - start,
+        "version": __version__,
+    }
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(value) for value in row.values()) for row in outcome.rows]
+    if args.format in ("csv", "both"):
+        csv_path = _writable(args.out / f"{args.scenario.replace('-', '_')}.csv", args.force)
+        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if args.format in ("json", "both"):
+        json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        _writable(args.out / "report.json", args.force).write_text(json_text, encoding="utf-8")
+    return outcome
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -547,17 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    spec = ExperimentSpec(
-        scenario=args.scenario,
-        out_dir=args.out,
-        config_path=getattr(args, "config", None),
-        seed=args.seed,
-        trials=args.trials,
-        force=args.force,
-        format=args.format,
-    )
     try:
-        report = run(spec)
+        outcome = run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -570,8 +486,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except FlowmarkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    _print_summary(report, spec.out_dir)
-    if spec.scenario == "paper-repro" and report.results["passed"] != report.results["cases"]:
+    print(outcome.summary)
+    print(f"report written to {args.out}")
+    if args.scenario == "paper-repro" and outcome.results["passed"] != outcome.results["cases"]:
         return EXIT_FAILURE
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -24,6 +24,7 @@ from .errors import (
     InvalidDuration,
     NegativeWindow,
     NonGenerativeModel,
+    SearchSpaceTooLarge,
     WindowTooLong,
 )
 from .seeds import seeded_generators
@@ -42,9 +43,9 @@ def _canonical_timestamps(timestamps: Iterable[float]) -> np.ndarray:
     else:
         arr = np.array(list(timestamps), dtype=float)
     if arr.ndim != 1:
-        raise ValueError("timestamps must be a one-dimensional sequence")
+        raise BadParameter("timestamps must be a one-dimensional sequence")
     if not np.isfinite(arr).all():
-        raise ValueError("timestamps must be finite")
+        raise BadParameter("timestamps must be finite")
     if (arr[1:] < arr[:-1]).any():
         arr = arr[np.argsort(arr, kind="stable")]
     if not (arr[1:] > arr[:-1]).all():
@@ -59,7 +60,7 @@ def _canonical_timestamps(timestamps: Iterable[float]) -> np.ndarray:
         moved = image != key
         arr[moved] = np.where(image > 0, image, lowest - image)[moved].view(float)
         if not math.isfinite(arr[-1]):
-            raise ValueError("timestamps must be finite")
+            raise BadParameter("timestamps must be finite")
     return arr
 
 
@@ -76,14 +77,14 @@ class Flow:
         arr = _canonical_timestamps(self.timestamps)
         if arr.size:
             if arr[0] < 0.0:
-                raise ValueError(f"timestamp {arr[0]} is negative")
+                raise BadParameter(f"timestamp {arr[0]} is negative")
             if arr[-1] > self.duration:
                 # Tie perturbation can overshoot by a few ulps; genuine
                 # out-of-range inputs are rejected, ulp overshoot extends
                 # the duration instead.
                 raw_max = float(np.max(np.asarray(self.timestamps, dtype=float)))
                 if raw_max > self.duration:
-                    raise ValueError(
+                    raise BadParameter(
                         f"timestamp {raw_max} exceeds duration {self.duration}"
                     )
                 object.__setattr__(self, "duration", float(arr[-1]))
@@ -176,6 +177,8 @@ REFERENCE_CLEAR_TABLE = EmpiricalModel(
 
 # Most packets one flow is expected to hold: 10**7 arrivals are 80 MB.
 MAX_FLOW_PACKETS = 10**7
+# Most window starts one clear-probability estimate samples, 80 MB per array.
+MAX_WINDOW_SAMPLES = 10**7
 
 
 def draw_width(model: FlowModel, duration: float) -> int:
@@ -287,7 +290,8 @@ def estimate_clear_probability(flow: Flow, t: float, stride: float) -> float:
 
     Window starts step through {0, stride, 2*stride, ...} while s + t still
     fits inside the flow.  Overlapping strides are allowed and simply
-    correlate neighbouring samples.
+    correlate neighbouring samples.  More than MAX_WINDOW_SAMPLES starts
+    is an error.
     """
     if t <= 0 or not math.isfinite(t):
         raise NegativeWindow(f"window length must be positive, got {t}")
@@ -296,11 +300,16 @@ def estimate_clear_probability(flow: Flow, t: float, stride: float) -> float:
             f"window {t} exceeds flow duration {flow.duration}"
         )
     if not 0 < stride <= t:
-        raise ValueError(f"stride must be in (0, t], got {stride}")
+        raise BadParameter(f"stride must be in (0, t], got {stride}")
     # 1e-9 relative slack keeps the last on-grid start when (duration-t)/stride
     # is an exact multiple computed inexactly.
-    span = flow.duration - t
-    n_windows = int(math.floor(span / stride + 1e-9)) + 1
+    steps = (flow.duration - t) / stride + 1e-9
+    if not steps < MAX_WINDOW_SAMPLES:
+        raise SearchSpaceTooLarge(
+            f"a {flow.duration} s flow holds more than {MAX_WINDOW_SAMPLES} window "
+            f"starts {stride} s apart"
+        )
+    n_windows = int(math.floor(steps)) + 1
     starts = np.arange(n_windows, dtype=float) * stride
     ts = flow.timestamps
     lo = np.searchsorted(ts, starts, side="left")
@@ -375,4 +384,7 @@ def read_flow(path: str | Path) -> Flow:
                     f"{path}:{lineno}: timestamp {value} outside [0, {duration}]"
                 )
             prev = value
-    return Flow(timestamps=values, duration=duration)
+    try:
+        return Flow(timestamps=values, duration=duration)
+    except BadParameter as exc:  # a tie nudged past the largest float
+        raise FlowFileError(f"{path}: {exc}") from None

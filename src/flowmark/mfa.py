@@ -104,7 +104,8 @@ def _snap(
     edge pair joining one flow's duration to the next flow's 0 runs backwards
     and snaps to nothing.  keep marks windows at least min_units long.
     """
-    if not (edges.max() + np.abs(shifts).max()) / quantum < 2.0**62:
+    # Python floats: an overflow to inf fails the check without a numpy warning.
+    if not (float(edges.max()) + float(np.abs(shifts).max())) / quantum < 2.0**62:
         raise SearchSpaceTooLarge("flows span more than the 2**62 quanta the grid indexes")
     s, e = edges[:-1], edges[1:]
     sh = shifts[:, None]
@@ -354,23 +355,15 @@ METHODS = {
 
 
 def attack_plan(
-    method: str, cfg: AttackConfig, k: int, cap: int = EXHAUSTIVE_CAP
+    method: str, cfg: AttackConfig, k: int
 ) -> tuple[list[float], Callable[[Sequence[list]], SearchResult]]:
-    """Offset grid of the named method, and its search over k flows' window lists.
-
-    The exhaustive method errors if its multiplier ** k space exceeds the cap.
-    """
+    """Offset grid of the named method, and its search over k flows' window lists."""
     if method not in METHODS:
         raise BadParameter(f"unknown attack method {method!r}; expected one of {sorted(METHODS)}")
     if k < 1:
         raise BadParameter("attack needs at least one flow")
     grid, search = METHODS[method]
-    offsets = grid(cfg)
-    if method == "exhaustive" and (space := len(offsets) ** k) > cap:
-        raise SearchSpaceTooLarge(
-            f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
-        )
-    return offsets, functools.partial(search, min_units=_min_units(cfg))
+    return grid(cfg), functools.partial(search, min_units=_min_units(cfg))
 
 
 def attack(
@@ -384,8 +377,14 @@ def attack(
     """Run the named method of METHODS on the flows.
 
     The bound uses multiplier len(offsets), the method's offsets per flow.
+    The exhaustive method errors if its multiplier ** k space exceeds the cap.
     """
-    offsets, search = attack_plan(method, cfg, len(flows), cap)
+    k = len(flows)
+    offsets, search = attack_plan(method, cfg, k)
+    if method == "exhaustive" and (space := len(offsets) ** k) > cap:
+        raise SearchSpaceTooLarge(
+            f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
+        )
     searched, window, path = search(_window_lists(flows, cfg, offsets))
     assignment = None if path is None else tuple(offsets[i] for i in path)
     return _finding(flows, cfg, len(offsets), searched, clear_prob, window, assignment)

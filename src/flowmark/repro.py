@@ -147,7 +147,7 @@ def monte_carlo_attack(
     if trials < 1:
         raise BadParameter(f"trials must be positive, got {trials}")
     width = draw_width(model, duration)
-    offsets, _ = attack_plan(method, cfg, k)  # also the exhaustive method's cap check
+    offsets, _ = attack_plan(method, cfg, k)
     bound = fp_bound(k, clear_prob, len(offsets)).clamped
     per_block = max(1, _BATCH_EDGES // (k * (width + 2)))
     prefix = seed_prefix(seed, "mc")

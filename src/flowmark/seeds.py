@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadSeed
+from .errors import BadParameter, BadSeed
 
 SEED_BITS = 64
 _SEED_MASK = (1 << SEED_BITS) - 1
@@ -155,7 +155,7 @@ class _BlockSeed:
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a block seed holds 4 uint64 words, not {n_words} {dtype}")
+            raise BadParameter(f"a block seed holds 4 uint64 words, not {n_words} {dtype}")
         return self.words
 
 

@@ -17,7 +17,13 @@ from flowmark import (
     sweep_table,
 )
 from flowmark.analysis import SWEEP_COLUMNS, ceil_snapped
-from flowmark.errors import BadDelta, BadProbability, SearchSpaceTooLarge
+from flowmark.errors import (
+    BadDelta,
+    BadParameter,
+    BadProbability,
+    FlowmarkError,
+    SearchSpaceTooLarge,
+)
 
 
 class TestCeilSnapped:
@@ -242,3 +248,26 @@ class TestSweepTable:
     def test_rejects_unknown_parameter(self):
         with pytest.raises(ValueError):
             sweep_table("key", [1.0], T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, p=0.276)
+
+
+# Every plain-value check of the analysis module, one call each.
+BAD_PARAMETERS = {
+    "offset_multiplier o_max": lambda: offset_multiplier(-0.1, 0.45),
+    "fp_bound k": lambda: fp_bound(0, 0.276),
+    "fp_bound p": lambda: fp_bound(1, 1.5),
+    "fp_bound multiplier": lambda: fp_bound(1, 0.276, 0),
+    "min_flows epsilon": lambda: min_flows(1.0, 0.9, 0.45, 0.276),
+    "min_flows p": lambda: min_flows(1e-5, 0.9, 0.45, -0.1),
+    "countermeasure_threshold T": lambda: countermeasure_threshold(0.0, 0.5),
+    "countermeasure_is_effective T": lambda: countermeasure_is_effective(0.9, math.inf, 0.5),
+    "sweep_table param": lambda: sweep_table(
+        "key", [1.0], T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, p=0.276
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_PARAMETERS))
+def test_bad_parameter_is_a_toolkit_error(site):
+    with pytest.raises(BadParameter) as info:
+        BAD_PARAMETERS[site]()
+    assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)

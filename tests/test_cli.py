@@ -3,19 +3,20 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowmark import load_config, parse_config, render_config
+from flowmark import cli, closed_form_cases, load_config, parse_config, render_config
 from flowmark.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
     EXIT_INFEASIBLE,
     EXIT_IO,
     EXIT_OK,
-    ExperimentSpec,
+    build_parser,
     main,
     run,
 )
@@ -261,10 +262,10 @@ class TestGenerateScenario:
         assert err.startswith("error:") and "packets" in err
 
     def test_parameter_echo_round_trips(self, tmp_path, gen_config):
-        spec = ExperimentSpec(
-            scenario="generate", out_dir=tmp_path / "out", config_path=gen_config, seed=7
+        args = build_parser().parse_args(
+            ["generate", "--config", str(gen_config), "--out", str(tmp_path / "out"), "--seed", "7"]
         )
-        report = run(spec)
+        report = run(args)
         assert parse_config(render_config(report.parameters)) == report.parameters
 
 
@@ -383,6 +384,23 @@ class TestAttackScenario:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "bad.txt:3:" in err
+
+    @pytest.mark.parametrize("scenario", ["attack", "detect"])
+    def test_tie_at_largest_float_is_a_one_line_failure(self, tmp_path, capsys, scenario):
+        # The second packet would be nudged past the tie to inf.
+        big = "1.7976931348623157e+308"
+        (tmp_path / "big.txt").write_text(f"# duration={big}\n{big}\n{big}\n")
+        (tmp_path / "manifest.txt").write_text("big.txt\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            (ATTACK_SECTION if scenario == "attack" else WATERMARK_SECTION)
+            + "\n[experiment]\nmanifest = manifest.txt\n"
+        )
+        rc = run_cli(scenario, "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "big.txt" in err and "finite" in err
 
     def test_non_utf8_manifest_is_a_one_line_failure(self, tmp_path, capsys):
         (tmp_path / "manifest.txt").write_bytes(b"\xff\xfeflow.txt\n")
@@ -608,13 +626,34 @@ class TestPaperReproScenario:
         assert (tmp_path / "o" / "paper_repro.csv").exists()
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_format_json_skips_csv(self, tmp_path):
+        rc = run_cli(
+            "paper-repro", "--out", tmp_path / "o", "--trials", "1500", "--format", "json"
+        )
+        assert rc == EXIT_OK
+        assert (tmp_path / "o" / "report.json").exists()
+        assert not (tmp_path / "o" / "paper_repro.csv").exists()
+
+    def test_failing_case_prints_fail_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        # A wrong measured clear probability fails the dependent closed-form cases.
+        monkeypatch.setattr(
+            cli, "all_cases", lambda seed, trials: (closed_form_cases(p_450ms=0.3), {})
+        )
+        rc = run_cli("paper-repro", "--out", tmp_path / "o")
+        assert rc == EXIT_FAILURE
+        lines = capsys.readouterr().out.splitlines()
+        assert any(
+            line.startswith("FAIL") and "min-flows-900ms-offsets" in line for line in lines
+        )
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        passed, cases = report["results"]["passed"], report["results"]["cases"]
+        assert passed < cases and f"{passed}/{cases} reference cases pass" in lines
+
 
 class TestReproNegativeControl:
     def test_perturbed_inputs_fail_the_table(self):
         """The checks must be able to fail: feeding a wrong measured clear
         probability flips the dependent cases to FAIL."""
-        from flowmark import closed_form_cases
-
         good = closed_form_cases()
         assert all(case.passed for case in good)
         bad = closed_form_cases(p_450ms=0.3)
@@ -716,6 +755,79 @@ def test_fuzzed_config_ends_in_an_exit_code(fuzz_dir, scenario, text):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main(argv)
+    assert rc in {EXIT_OK, EXIT_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_INFEASIBLE}
+    if rc != EXIT_OK:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+# Flow-file lines: timestamps inside a 20 s flow, then values past it, the
+# largest float (a tie there overflows), non-finite values and junk.
+GOOD_TIMES = ("0", "-0.0", "0.25", "0.5", "1", "1.5", "2", "7.25", "19")
+FLOW_VALUES = GOOD_TIMES + ("-1", "1e12", "1.7976931348623157e+308", "nan", "inf", "x", "1,5", "")
+FLOW_HEADERS = (
+    "# duration=2.0", "# duration=1e12", "# duration=1.7976931348623157e+308", "# duration=0",
+    "# duration=-1", "# duration=nan", "# duration=inf", "# duration=x", "# duration=",
+    "duration=20", "",
+)
+MANIFEST_ENTRIES = ("a.txt", "b.txt", "missing.txt", ".", "# a comment", "", "  b.txt  ")
+
+
+@st.composite
+def flow_file_bytes(draw) -> bytes:
+    """A header and timestamp lines, or raw (often non-ASCII) bytes.  The
+    header, the value pool and the order are each the working one three
+    times in four."""
+    often = st.integers(0, 3).map(bool)
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([b"", b"\xff"])) + draw(st.binary(max_size=40))
+    header = "# duration=20" if draw(often) else draw(st.sampled_from(FLOW_HEADERS))
+    pool = GOOD_TIMES if draw(often) else FLOW_VALUES
+    values = draw(st.lists(st.sampled_from(pool), max_size=12))
+    if draw(often):
+        values.sort(key=lambda v: float(v) if v in GOOD_TIMES else 0.0)
+    suffix = b"" if draw(often) else b"\xff"
+    return "\n".join([header, *values, ""]).encode() + suffix
+
+
+@st.composite
+def manifest_bytes(draw) -> bytes:
+    """Both fuzzed flow files three times in four; else entries naming them,
+    a missing file or a directory, or non-UTF-8 bytes."""
+    if draw(st.integers(0, 3)):
+        return b"a.txt\nb.txt\n"
+    entries = draw(st.lists(st.sampled_from(MANIFEST_ENTRIES), max_size=4))
+    return draw(st.sampled_from([b"", b"\xff\xfe"])) + "\n".join(entries).encode()
+
+
+@pytest.fixture(scope="module")
+def flow_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("flow-fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scenario=st.sampled_from(["detect", "attack"]),
+    flows=st.lists(flow_file_bytes(), min_size=2, max_size=2),
+    manifest=manifest_bytes(),
+)
+def test_fuzzed_flow_files_end_in_an_exit_code(flow_fuzz_dir, scenario, flows, manifest):
+    for name, data in zip(("a.txt", "b.txt"), flows):
+        (flow_fuzz_dir / name).write_bytes(data)
+    (flow_fuzz_dir / "manifest.txt").write_bytes(manifest)
+    cfg = flow_fuzz_dir / "run.ini"
+    cfg.write_text(
+        (ATTACK_SECTION if scenario == "attack" else WATERMARK_SECTION)
+        + "\n[experiment]\nmanifest = manifest.txt\n"
+    )
+    argv = [scenario, "--config", str(cfg), "--out", str(flow_fuzz_dir / "out"), "--force"]
+    err = io.StringIO()
+    # A warning would print lines of its own to stderr.
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert [str(w.message) for w in caught] == []
     assert rc in {EXIT_OK, EXIT_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_INFEASIBLE}
     if rc != EXIT_OK:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

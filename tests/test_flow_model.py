@@ -31,8 +31,10 @@ from flowmark.errors import (
     InvalidDuration,
     NegativeWindow,
     NonGenerativeModel,
+    SearchSpaceTooLarge,
     WindowTooLong,
 )
+from flowmark import flow_model
 from flowmark.flow_model import MAX_FLOW_PACKETS, _canonical_timestamps, draw_width
 
 
@@ -311,6 +313,16 @@ class TestEstimateClearProbability:
         with pytest.raises(ValueError):
             estimate_clear_probability(flow, 0.5, 0.0)
 
+    def test_window_sample_cap(self, monkeypatch):
+        for duration in (1e12, sys.float_info.max):
+            with pytest.raises(SearchSpaceTooLarge, match="more than 10000000 window starts"):
+                estimate_clear_probability(Flow([0.5], duration), 1.0, 0.25)
+        # Under a cap of 8, starts 0 .. 1.75 s fit a 2.75 s flow; one more does not.
+        monkeypatch.setattr(flow_model, "MAX_WINDOW_SAMPLES", 8)
+        assert estimate_clear_probability(Flow([0.5], 2.75), 1.0, 0.25) == 5 / 8
+        with pytest.raises(SearchSpaceTooLarge, match="more than 8 window starts"):
+            estimate_clear_probability(Flow([0.5], 3.0), 1.0, 0.25)
+
     def test_matches_analytic_on_poisson_traffic(self):
         # single long flow; the sliding-window estimate should sit near
         # exp(-rate * t)
@@ -490,3 +502,23 @@ class TestFlowFiles:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_flow(tmp_path / "nope.txt")
+
+
+# Every plain-value check of the flow model module, one call each.
+BAD_PARAMETERS = {
+    "Flow shape": lambda: Flow(timestamps=[[0.5]], duration=1.0),
+    "Flow finite": lambda: Flow(timestamps=[math.nan], duration=1.0),
+    "Flow tie past the largest float": lambda: Flow(
+        timestamps=[sys.float_info.max] * 2, duration=sys.float_info.max
+    ),
+    "Flow negative": lambda: Flow(timestamps=[-0.5], duration=1.0),
+    "Flow past duration": lambda: Flow(timestamps=[1.5], duration=1.0),
+    "estimate stride": lambda: estimate_clear_probability(Flow([0.5], 2.0), 0.5, 0.0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_PARAMETERS))
+def test_bad_parameter_is_a_toolkit_error(site):
+    with pytest.raises(BadParameter) as info:
+        BAD_PARAMETERS[site]()
+    assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)

@@ -31,7 +31,6 @@ from flowmark import (
     poisson_rate_for_clear_probability,
 )
 from flowmark import flow_model
-from flowmark.errors import SearchSpaceTooLarge
 from flowmark.flow_model import FlowBlock, generate_block
 from flowmark.mfa import (
     _BATCH_EDGES,
@@ -352,11 +351,15 @@ class TestDriverMatchesPerTrialLoop:
         with injected(modes, 0.9):
             assert monte_carlo_attack(*args) == reference_monte_carlo(*args)
 
-    def test_exhaustive_space_past_the_cap_is_an_error(self):
-        # 2 offsets per flow: 2**20 = 1,048,576 configurations.
+    def test_exhaustive_space_past_the_cap_matches_bnb(self):
+        # 2 offsets per flow: 2**20 = 1,048,576 configurations, past the cap
+        # of the list search, which the Monte Carlo verdicts never enumerate.
         assert len(_offset_grid(CFG)) ** 20 > EXHAUSTIVE_CAP >= len(_offset_grid(CFG)) ** 19
-        with pytest.raises(SearchSpaceTooLarge, match="exceed the cap"):
-            monte_carlo_attack("exhaustive", CFG, MODEL, 0.9, 20, 1, 0, 0.276)
+        sparse = PoissonModel(poisson_rate_for_clear_probability(0.9, CFG.min_length))
+        mc = monte_carlo_attack("exhaustive", CFG, sparse, 0.9, 20, 40, 0, 0.9)
+        assert mc == monte_carlo_attack("bnb", CFG, sparse, 0.9, 20, 40, 0, 0.9)
+        assert mc == reference_monte_carlo("bnb", CFG, sparse, 0.9, 20, 40, 0, 0.9)
+        assert 0 < mc.hits < 40
 
     def test_unknown_method_is_an_error(self):
         with pytest.raises(ValueError, match="unknown attack method"):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowmark import PoissonModel, derive_seed, seeds
-from flowmark.errors import BadSeed, FlowmarkError
+from flowmark.errors import BadParameter, BadSeed, FlowmarkError
 from flowmark.flow_model import generate_block
 from flowmark.seeds import check_seed, derive_from, seed_prefix, seeded_generators
 
@@ -111,3 +111,10 @@ class TestDerivation:
     def test_bad_part_is_bad_seed(self, part):
         with pytest.raises(BadSeed, match="seed"):
             derive_seed(1, part)
+
+
+def test_block_seed_asked_for_other_words_is_a_toolkit_error():
+    block_seed = seeds._BlockSeed(seeds._pcg64_words([1])[0])
+    with pytest.raises(BadParameter) as info:
+        block_seed.generate_state(8, np.uint32)
+    assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)
