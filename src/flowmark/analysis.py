@@ -47,6 +47,20 @@ def offset_multiplier(o_max: float, delta: float) -> int:
     return max(1, ceil_snapped(o_max / delta))
 
 
+# Most offsets one attack search or detector sweep tries per flow: each is
+# a list entry, and the Monte Carlo kernel's arrays grow with their count.
+MAX_OFFSETS = 10**4
+
+
+def check_offset_count(count: int) -> int:
+    """The count of offsets a search or sweep tries per flow, if within MAX_OFFSETS."""
+    if count > MAX_OFFSETS:
+        raise SearchSpaceTooLarge(
+            f"{count} offsets per flow exceed the cap of {MAX_OFFSETS}: raise delta or lower o_max"
+        )
+    return count
+
+
 class FpBound(NamedTuple):
     """(multiplier * p)^k both as computed and clamped into [0, 1]."""
 

@@ -223,8 +223,8 @@ def _method_name(cfg: ConfigDict) -> str:
 def _scenario_attack(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     acfg = from_section(AttackConfig, cfg, "attack")
     method = _method_name(cfg)
-    _, flows = _manifest_flows(cfg, args)
-    finding = attack(method, flows, acfg)
+    paths, flows = _manifest_flows(cfg, args)
+    finding = attack(method, flows, acfg, names=paths)
     window_start, window_length = finding.matched_window or (None, None)
     assignment = finding.offset_assignment
     row = {

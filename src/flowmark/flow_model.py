@@ -212,13 +212,14 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
     scale = 1.0 / model.rate
     arrivals = np.empty((len(seeds), chunk))
     for row, rng in zip(arrivals, seeded_generators(seeds)):
-        row[:] = rng.exponential(scale=scale, size=chunk)
+        rng.standard_exponential(out=row)
+    arrivals *= scale  # numpy's exponential(scale) is scale * standard_exponential()
     np.cumsum(arrivals, axis=1, out=arrivals)  # row by row, as the 1-D cumsum
     extra: dict[int, np.ndarray] = {}
     for r in np.flatnonzero(arrivals[:, -1] <= duration).tolist():
         # Resume the row's stream where its first chunk ended.
         rng = next(seeded_generators([seeds[r]]))
-        rng.exponential(scale=scale, size=chunk)
+        rng.standard_exponential(size=chunk)
         times, size, total = [], chunk, float(arrivals[r, -1])
         while total <= duration:
             size = max(16, size // 4)

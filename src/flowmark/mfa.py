@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import ceil_snapped, fp_bound, offset_multiplier
+from .analysis import ceil_snapped, check_offset_count, fp_bound, offset_multiplier
 from .errors import BadDelta, BadParameter, FlowFileError, NegativeWindow, SearchSpaceTooLarge
 from .flow_model import Flow, FlowBlock, estimate_clear_probability
 
@@ -231,44 +231,28 @@ def find_clear_windows(flow: Flow, min_length: float, quantum: float) -> list[Cl
     ]
 
 
-def _mean_clear_probability(flows: Sequence[Flow], cfg: AttackConfig) -> float:
-    """Estimate of the per-flow clear probability at window T - delta."""
+def _mean_clear_probability(
+    flows: Sequence[Flow], cfg: AttackConfig, names: Optional[Sequence[object]] = None
+) -> float:
+    """Estimate of the per-flow clear probability at window T - delta.
+
+    An error estimating flow i names it by names[i], or else by its index.
+    """
     if cfg.min_length == 0:
         return 1.0  # delta == T: an empty window is always clear
     total = 0.0
     measured = 0
-    for flow in flows:
+    for i, flow in enumerate(flows):
         if flow.duration < cfg.min_length:
             continue  # too short to ever show a qualifying window
         stride = min(cfg.quantum, cfg.min_length)
-        total += estimate_clear_probability(flow, cfg.min_length, stride)
+        try:
+            total += estimate_clear_probability(flow, cfg.min_length, stride)
+        except SearchSpaceTooLarge as exc:
+            raise SearchSpaceTooLarge(f"{names[i] if names else f'flow {i}'}: {exc}") from None
         measured += 1
     # With no flow long enough to measure, p = 1 makes the bound claim nothing.
     return total / measured if measured else 1.0
-
-
-def _finding(
-    flows: Sequence[Flow],
-    cfg: AttackConfig,
-    multiplier: int,
-    searched: int,
-    clear_prob: Optional[float],
-    window: Optional[tuple[int, int]] = None,
-    assignment: Optional[tuple[float, ...]] = None,
-) -> AttackFinding:
-    """The finding for a grid window (None when absent) and its offsets."""
-    p = _mean_clear_probability(flows, cfg) if clear_prob is None else clear_prob
-    matched = None
-    if window is not None:
-        lo, hi = window
-        matched = (lo * cfg.quantum, (hi - lo) * cfg.quantum)
-    return AttackFinding(
-        present=window is not None,
-        matched_window=matched,
-        offset_assignment=assignment,
-        configurations_searched=searched,
-        fp_bound_at_k=fp_bound(len(flows), p, multiplier).clamped,
-    )
 
 
 def _min_units(cfg: AttackConfig) -> int:
@@ -340,7 +324,7 @@ def _exhaustive(lists: Sequence[list], min_units: int) -> SearchResult:
 
 
 def _offset_grid(cfg: AttackConfig) -> list[float]:
-    count = offset_multiplier(cfg.o_max, cfg.delta)
+    count = check_offset_count(offset_multiplier(cfg.o_max, cfg.delta))
     return [i * cfg.delta for i in range(count)]
 
 
@@ -373,11 +357,15 @@ def attack(
     *,
     cap: int = EXHAUSTIVE_CAP,
     clear_prob: Optional[float] = None,
+    names: Optional[Sequence[object]] = None,
 ) -> AttackFinding:
     """Run the named method of METHODS on the flows.
 
-    The bound uses multiplier len(offsets), the method's offsets per flow.
-    The exhaustive method errors if its multiplier ** k space exceeds the cap.
+    The bound uses multiplier len(offsets), the method's offsets per flow,
+    and clear_prob, else the flows' mean estimate, taken before the search
+    (an error there names flow i by names[i], such as its file, or its
+    index).  The exhaustive method errors if its multiplier ** k space
+    exceeds the cap.
     """
     k = len(flows)
     offsets, search = attack_plan(method, cfg, k)
@@ -385,9 +373,20 @@ def attack(
         raise SearchSpaceTooLarge(
             f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
         )
+    p = _mean_clear_probability(flows, cfg, names) if clear_prob is None else clear_prob
     searched, window, path = search(_window_lists(flows, cfg, offsets))
-    assignment = None if path is None else tuple(offsets[i] for i in path)
-    return _finding(flows, cfg, len(offsets), searched, clear_prob, window, assignment)
+    matched = assignment = None
+    if window is not None:
+        lo, hi = window
+        matched = (lo * cfg.quantum, (hi - lo) * cfg.quantum)
+        assignment = tuple(offsets[i] for i in path)
+    return AttackFinding(
+        present=window is not None,
+        matched_window=matched,
+        offset_assignment=assignment,
+        configurations_searched=searched,
+        fp_bound_at_k=fp_bound(k, p, len(offsets)).clamped,
+    )
 
 
 def mfa_fixed_offset(

@@ -21,8 +21,8 @@ from .flow_model import (
     poisson_rate_for_clear_probability,
 )
 from .errors import BadParameter
-from .mfa import _BATCH_EDGES, AttackConfig, attack_plan, block_verdicts
-from .seeds import derive_from, seed_prefix
+from .mfa import AttackConfig, attack_plan, block_verdicts
+from .seeds import trial_seeds
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
 # the reference trace. All headline numbers below derive from these.
@@ -116,6 +116,11 @@ def closed_form_cases(
     return cases
 
 
+# Kernel cells (offset shifts x gap edges, edges padded to the draw width)
+# per block of Monte Carlo trials: caps block_verdicts' work arrays.
+_BLOCK_CELLS = 2**15
+
+
 class MonteCarloRate(NamedTuple):
     """Attack hits over unwatermarked trials, their rate, and its ceiling."""
 
@@ -140,21 +145,20 @@ def monte_carlo_attack(
     Flow i of trial t is drawn from `model` over `duration` seconds with
     seed derive_seed(seed, "mc", t, i), and the attack runs with the given
     clear probability, so its bound is the same in every trial.  Trials run
-    in blocks sized to one snapping batch: a block's flows are drawn and
-    snapped together, and block_verdicts decides every trial of the block,
-    as the method's search would, without building window lists.
+    in blocks of at most _BLOCK_CELLS kernel cells (at least one trial): a
+    block's flows are drawn and snapped together, and block_verdicts
+    decides every trial of the block, as the method's search would, without
+    building window lists.
     """
     if trials < 1:
         raise BadParameter(f"trials must be positive, got {trials}")
     width = draw_width(model, duration)
     offsets, _ = attack_plan(method, cfg, k)
     bound = fp_bound(k, clear_prob, len(offsets)).clamped
-    per_block = max(1, _BATCH_EDGES // (k * (width + 2)))
-    prefix = seed_prefix(seed, "mc")
+    per_block = max(1, _BLOCK_CELLS // (len(offsets) * k * (width + 2)))
     hits = 0
     for first in range(0, trials, per_block):
-        block = range(first, min(trials, first + per_block))
-        seeds = [derive_from(prefix, t, i) for t in block for i in range(k)]
+        seeds = trial_seeds(seed, "mc", range(first, min(trials, first + per_block)), k)
         hits += int(block_verdicts(generate_block(model, duration, seeds), cfg, offsets, k).sum())
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     return MonteCarloRate(hits, hits / trials, bound, bound + 3.0 * sigma)

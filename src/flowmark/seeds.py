@@ -14,9 +14,10 @@ default_rng for the rest of the process.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,35 +36,51 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def _mix_parts(h, parts: tuple[int | float | str, ...]) -> None:
-    for part in parts:
-        if isinstance(part, bool):
-            raise BadSeed("bool is not a valid seed component")
-        if isinstance(part, int):
-            h.update(b"i" + str(part).encode("ascii"))
-        elif isinstance(part, float):
-            h.update(b"f" + struct.pack("<d", part))
-        elif isinstance(part, str):
-            encoded = part.encode("utf-8")
-            h.update(b"s" + struct.pack("<I", len(encoded)) + encoded)
-        else:
-            raise BadSeed(f"cannot mix {type(part).__name__} into a seed")
+def _encode(part: int | float | str) -> bytes:
+    """A seed part's canonical bytes, tagged by type so ("a", 1) and ("a1",) differ."""
+    if isinstance(part, bool):
+        raise BadSeed("bool is not a valid seed component")
+    if isinstance(part, int):
+        return b"i" + str(part).encode("ascii")
+    if isinstance(part, float):
+        return b"f" + struct.pack("<d", part)
+    if isinstance(part, str):
+        encoded = part.encode("utf-8")
+        return b"s" + struct.pack("<I", len(encoded)) + encoded
+    raise BadSeed(f"cannot mix {type(part).__name__} into a seed")
 
 
 def seed_prefix(master: int, *parts: int | float | str):
     """The hash state of derive_seed(master, *parts, ...) before its further parts."""
     check_seed(master)
     h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<Q", master))
-    _mix_parts(h, parts)
+    h.update(struct.pack("<Q", master) + b"".join(map(_encode, parts)))
     return h
 
 
 def derive_from(prefix, *parts: int | float | str) -> int:
     """derive_seed(master, *head, *parts) for prefix = seed_prefix(master, *head)."""
     h = prefix.copy()
-    _mix_parts(h, parts)
+    h.update(b"".join(map(_encode, parts)))
     return int.from_bytes(h.digest(), "little")
+
+
+def trial_seeds(master: int, label: int | float | str, trials: Iterable[int], k: int) -> list[int]:
+    """[derive_seed(master, label, t, i) for t in trials for i in range(k)].
+
+    Each trial's part is hashed once, then each flow index's.
+    """
+    prefix = seed_prefix(master, label)
+    tails = [_encode(i) for i in range(k)]
+    digests = []
+    for t in trials:
+        head = prefix.copy()
+        head.update(_encode(t))
+        for tail in tails:
+            h = head.copy()
+            h.update(tail)
+            digests.append(h.digest())
+    return list(struct.unpack(f"<{len(digests)}Q", b"".join(digests)))
 
 
 def derive_seed(master: int, *parts: int | float | str) -> int:
@@ -159,11 +176,20 @@ class _BlockSeed:
         return self.words
 
 
+@functools.cache
+def _seed_sequence(base: type) -> type:
+    """base as a subclass of numpy's ISeedSequence, which PCG64 checks its seed against.
+
+    Made at first use, not at import, because importing numpy.random is not
+    free; a subclass passes the check faster than a registered class.
+    """
+    return type(base.__name__, (base, np.random.bit_generator.ISeedSequence), {})
+
+
 def _block_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     """A generator per checked seed, from one vectorised pass over all of them."""
-    # Registered here, not at import, because importing numpy.random is not free.
-    np.random.bit_generator.ISeedSequence.register(_BlockSeed)
-    return (np.random.Generator(np.random.PCG64(_BlockSeed(w))) for w in _pcg64_words(seeds))
+    block_seed, generator, pcg64 = _seed_sequence(_BlockSeed), np.random.Generator, np.random.PCG64
+    return (generator(pcg64(block_seed(w))) for w in _pcg64_words(seeds))
 
 
 _KNOWN_SEEDS = (0, 1, 2**32 - 1, 2**32, _SEED_MASK)

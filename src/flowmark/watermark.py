@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import ceil_snapped
+from .analysis import ceil_snapped, check_offset_count
 from .errors import BadDelta, BadFraction, BadParameter, FlowTooShort
 from .flow_model import Flow, FlowModel, draw_width, generate_block
 from .seeds import check_seed, derive_from, derive_seed, seed_prefix
@@ -135,12 +135,16 @@ def embed(flow: Flow, params: WatermarkParams) -> Flow:
 
 
 def offset_candidates(o_max: float, delta: float) -> list[float]:
-    """Detector sweep grid {0, delta, 2*delta, ...} with o_max always included."""
+    """Detector sweep grid {0, delta, 2*delta, ...} with o_max always included.
+
+    More than MAX_OFFSETS candidates is an error.
+    """
     if delta <= 0 or not math.isfinite(delta):
         raise BadDelta(f"delta must be positive, got {delta}")
     if o_max < 0 or not math.isfinite(o_max):
         raise BadParameter(f"o_max must be non-negative, got {o_max}")
     steps = ceil_snapped(o_max / delta) if o_max > 0 else 0
+    check_offset_count(steps + 1)
     candidates = [i * delta for i in range(steps)]
     candidates.append(o_max)
     return candidates

@@ -402,6 +402,20 @@ class TestAttackScenario:
         assert err.count("\n") == 1
         assert "big.txt" in err and "finite" in err
 
+    def test_unmeasurable_flow_is_named_in_a_one_line_failure(self, tmp_path, capsys):
+        # 10**12 s hold more window starts than the clear-probability estimate samples.
+        write_flow(generate_flow(PoissonModel(3.0), 20.0, 1), tmp_path / "a.txt")
+        (tmp_path / "b.txt").write_text("# duration=1e12\n0.5\n")
+        (tmp_path / "manifest.txt").write_text("a.txt\nb.txt\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(ATTACK_SECTION + "\n[experiment]\nmanifest = manifest.txt\n")
+        rc = run_cli("attack", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'b.txt'}: ") and "window starts" in err
+        assert "a.txt" not in err
+
     def test_non_utf8_manifest_is_a_one_line_failure(self, tmp_path, capsys):
         (tmp_path / "manifest.txt").write_bytes(b"\xff\xfeflow.txt\n")
         cfg = tmp_path / "run.ini"
@@ -572,6 +586,14 @@ class TestMonteCarloScenario:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error:") and "packets" in err
+
+    def test_too_many_offsets_is_a_one_line_failure(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(self.MC_INI.replace("o_max = 0.9", "o_max = 45000"))
+        rc = run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "o", "--seed", "3")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err == "error: 100000 offsets per flow exceed the cap of 10000: raise delta or lower o_max\n"
 
     def test_experiment_duration_is_config_error(self, tmp_path, capsys):
         # Flow length is [flow] duration; an [experiment] one would be ignored.

@@ -1,9 +1,12 @@
-"""Every name a flowmark module imports is used in it.
+"""Every name a flowmark module imports is used in it, and the CLI imports light.
 
-`__init__.py` is exempt: it imports names to re-export them.
+`__init__.py` is exempt from the first check: it imports names to re-export them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,13 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_found():
     source = "from typing import Optional, Sequence\nimport numpy as np\nx: Optional[int] = 1\n"
     assert unused_imports(source) == ["line 1: Sequence", "line 2: np"]
+
+
+def test_importing_the_cli_leaves_numpy_random_out():
+    # Every CLI call pays for its imports; seeds registers its block seed
+    # with numpy.random at first use for the same reason.
+    code = "import sys, flowmark.cli; print(any(m.startswith('numpy.random') for m in sys.modules))"
+    src = str(Path(flowmark.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr

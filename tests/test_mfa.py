@@ -26,6 +26,7 @@ from flowmark import (
     poisson_rate_for_clear_probability,
     read_manifest,
 )
+from flowmark import analysis
 from flowmark.analysis import ceil_snapped
 from flowmark.errors import (
     BadDelta,
@@ -34,7 +35,7 @@ from flowmark.errors import (
     NegativeWindow,
     SearchSpaceTooLarge,
 )
-from flowmark.mfa import _BATCH_EDGES, _offset_grid, _window_lists, attack_plan
+from flowmark.mfa import _BATCH_EDGES, _offset_grid, _window_lists, attack, attack_plan
 from flowmark.repro import monte_carlo_attack
 
 REFERENCE_CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
@@ -370,6 +371,36 @@ class TestVariedOffset:
         assert offset_multiplier(cfg.o_max, cfg.delta) ** 10 > EXHAUSTIVE_CAP
         with pytest.raises(SearchSpaceTooLarge):
             mfa_varied_offset_exhaustive(flows, cfg)
+
+    def test_offset_count_cap(self, monkeypatch):
+        grid = _offset_grid(AttackConfig(T=0.9, delta=0.45, o_max=4500.0, epsilon=1e-5))
+        assert len(grid) == analysis.MAX_OFFSETS == 10**4
+        with pytest.raises(SearchSpaceTooLarge, match="10001 offsets per flow exceed the cap of 10000"):
+            _offset_grid(AttackConfig(T=0.9, delta=0.45, o_max=4500.45, epsilon=1e-5))
+        # Under a cap of 4, o_max = 1.8 s gives 4 offsets 0.45 s apart; 2.25 s gives 5.
+        monkeypatch.setattr(analysis, "MAX_OFFSETS", 4)
+        flows = [carved_flow(0.0), carved_flow(0.45)]
+        for method in ("bnb", "exhaustive"):
+            cfg = AttackConfig(T=0.9, delta=0.45, o_max=1.8, epsilon=1e-5)
+            assert attack(method, flows, cfg, clear_prob=0.276).present
+            with pytest.raises(SearchSpaceTooLarge, match="5 offsets per flow exceed the cap of 4"):
+                attack(method, flows, dataclasses.replace(cfg, o_max=2.25), clear_prob=0.276)
+            with pytest.raises(SearchSpaceTooLarge, match="5 offsets"):
+                monte_carlo_attack(method, dataclasses.replace(cfg, o_max=2.25), PoissonModel(3.0),
+                                   0.9, 2, 1, 0, 0.276)
+        # The closed-form multiplier stays uncapped.
+        assert offset_multiplier(2.25, 0.45) == 5
+
+    def test_an_unmeasurable_flow_is_named(self):
+        flows = [Flow([0.5], duration=2.0), Flow([0.5], duration=1e12)]
+        with pytest.raises(SearchSpaceTooLarge, match=r"^flow 1: a 1000000000000\.0 s flow"):
+            attack("bnb", flows, REFERENCE_CFG)
+        with pytest.raises(SearchSpaceTooLarge, match=r"^b\.txt: a 1000000000000\.0 s flow"):
+            attack("bnb", flows, REFERENCE_CFG, names=["a.txt", "b.txt"])
+        # A flow spanning more quanta than the grid indexes is named too: its
+        # clear probability is estimated before the search snaps it.
+        with pytest.raises(SearchSpaceTooLarge, match=r"^flow 0: "):
+            attack("fixed", [Flow([0.5], duration=1e300)], REFERENCE_CFG)
 
     def test_bnb_has_no_cap(self):
         cfg = AttackConfig(T=0.9, delta=0.45, o_max=1.8, epsilon=1e-5)

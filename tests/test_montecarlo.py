@@ -30,8 +30,8 @@ from flowmark import (
     mfa_varied_offset_exhaustive,
     poisson_rate_for_clear_probability,
 )
-from flowmark import flow_model
-from flowmark.flow_model import FlowBlock, generate_block
+from flowmark import flow_model, repro
+from flowmark.flow_model import FlowBlock, draw_width, generate_block
 from flowmark.mfa import (
     _BATCH_EDGES,
     EXHAUSTIVE_CAP,
@@ -86,39 +86,66 @@ def reference_generate_flow(model: PoissonModel, duration: float, seed: int) -> 
 #   ties:    some gaps become 0, so arrivals tie (the first one at 0);
 #   end:     four arrivals tie one ulp below the duration, so the tie-break
 #            pushes the last ones past it and the flow's duration grows;
-#   empty:   the first arrival is exactly at the duration, so there is none.
+#   empty:   the first arrival is at the duration (exactly where a gap times
+#            the scale can land there: at 4.5 s and 15.3 s but not 0.9 s, where
+#            it is the next time such a product reaches), so there is none.
 MODES = ("plain", "short", "shorter", "ties", "end", "empty")
 
 
 class InjectedRng:
-    def __init__(self, rng, mode: str, duration: float):
-        self.rng, self.mode, self.duration, self.calls = rng, mode, duration, 0
+    """Draws a seed's standard gaps and rewrites them as its mode says.
 
-    def exponential(self, scale=1.0, size=None):
-        gaps = self.rng.exponential(scale=scale, size=size)
+    The code under test draws standard gaps and multiplies them by the
+    model's scale; the oracle draws exponential(scale), which numpy defines
+    as that product, so both see the same seconds.  A mode's times in
+    seconds become the least standard gap whose product with the scale is
+    not below them.
+    """
+
+    def __init__(self, rng, mode: str, duration: float, scale: float):
+        self.rng, self.mode, self.duration, self.scale, self.calls = rng, mode, duration, scale, 0
+
+    def standard(self, seconds: float) -> float:
+        gap = seconds / self.scale
+        while gap * self.scale < seconds:
+            gap = np.nextafter(gap, np.inf)
+        while (below := np.nextafter(gap, 0.0)) * self.scale >= seconds:
+            gap = below
+        return gap
+
+    def standard_exponential(self, size=None, out=None):
+        gaps = self.rng.standard_exponential(size=size if out is None else out.shape)
         self.calls += 1
         if self.mode == "short" and self.calls == 1 or self.mode == "shorter" and self.calls <= 2:
             gaps *= 0.01
         elif self.mode == "ties" and self.calls == 1:
             gaps[[0, 1, 3, 4]] = 0.0
         elif self.mode == "end" and self.calls == 1:
-            gaps[:4] = [np.nextafter(self.duration, 0.0), 0.0, 0.0, 0.0]
+            last = np.nextafter(self.duration, 0.0)
+            gaps[:4] = [self.standard(last), 0.0, 0.0, 0.0]
+            assert gaps[0] * self.scale == last, "no gap lands one ulp below the duration"
         elif self.mode == "empty" and self.calls == 1:
-            gaps[0] = self.duration
-        return gaps
+            gaps[0] = self.standard(self.duration)
+        if out is None:
+            return gaps
+        out[...] = gaps
+        return out
+
+    def exponential(self, scale=1.0, size=None):
+        return scale * self.standard_exponential(size)
 
 
 @contextlib.contextmanager
-def injected(modes: dict[int, str], duration: float):
+def injected(modes: dict[int, str], duration: float, scale: float = 1.0 / MODEL.rate):
     """Make the seeds in `modes` draw rewritten gaps, in the oracle and in the code."""
     real_generators = flow_model.seeded_generators
 
     def injected_rng(seed):
-        return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration)
+        return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration, scale)
 
     def seeded_generators(seeds):
         for seed, rng in zip(seeds, real_generators(seeds)):
-            yield InjectedRng(rng, modes.get(seed, "plain"), duration)
+            yield InjectedRng(rng, modes.get(seed, "plain"), duration, scale)
 
     with mock.patch.object(sys.modules[__name__], "oracle_rng", injected_rng), mock.patch.object(
         flow_model, "seeded_generators", seeded_generators
@@ -184,6 +211,25 @@ class TestGenerationMatchesScalarLoop:
         assert ties.timestamps[:2].tolist() == [0.0, 5e-324]
         assert end.duration > 0.9 and block.durations[4] == end.duration
         assert len(empty) == 0 and block.counts[5] == 0
+
+    @pytest.mark.parametrize("duration", DURATIONS)
+    def test_empty_rows_start_at_the_first_reachable_time(self, duration):
+        rng = InjectedRng(None, "empty", duration, 1.0 / MODEL.rate)
+        gap = rng.standard(duration)
+        assert gap * rng.scale >= duration > np.nextafter(gap, 0.0) * rng.scale
+        assert (gap * rng.scale == duration) == (duration != 0.9)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        scale=st.floats(1e-300, 1e300),
+        size=st.integers(0, 300),
+    )
+    def test_exponential_is_scale_times_standard_exponential(self, seed, scale, size):
+        # The draw fills rows with standard gaps and scales the block at once.
+        drawn = np.random.default_rng(seed).exponential(scale, size)
+        standard = np.random.default_rng(seed).standard_exponential(size)
+        assert drawn.tobytes() == (scale * standard).tobytes()
 
     def test_injected_rows_reach_every_path_in_a_seeded_block(self):
         # Six seeds are seeded one default_rng at a time; fourteen as one block.
@@ -360,6 +406,20 @@ class TestDriverMatchesPerTrialLoop:
         assert mc == monte_carlo_attack("bnb", CFG, sparse, 0.9, 20, 40, 0, 0.9)
         assert mc == reference_monte_carlo("bnb", CFG, sparse, 0.9, 20, 40, 0, 0.9)
         assert 0 < mc.hits < 40
+
+    @pytest.mark.parametrize("duration, trials", [(0.9, 260), (15.3, 80)])
+    @pytest.mark.parametrize("method", sorted(ATTACKS))
+    def test_hits_do_not_depend_on_the_block_size(self, method, duration, trials):
+        # The default budget splits these runs into 2 or 3 blocks; then one
+        # trial per block, and every trial in one block.
+        args = (method, CFG, MODEL, duration, 5, trials, 2, 0.276)
+        cells = 5 * len(attack_plan(method, CFG, 5)[0]) * (draw_width(MODEL, duration) + 2)
+        assert 1 < -(-trials * cells // repro._BLOCK_CELLS) <= 3
+        expected = monte_carlo_attack(*args)
+        for budget in (1, 2 * trials * cells):
+            with mock.patch.object(repro, "_BLOCK_CELLS", budget):
+                assert monte_carlo_attack(*args) == expected
+        assert expected == reference_monte_carlo(*args)
 
     def test_unknown_method_is_an_error(self):
         with pytest.raises(ValueError, match="unknown attack method"):

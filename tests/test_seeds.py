@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flowmark import PoissonModel, derive_seed, seeds
 from flowmark.errors import BadParameter, BadSeed, FlowmarkError
 from flowmark.flow_model import generate_block
-from flowmark.seeds import check_seed, derive_from, seed_prefix, seeded_generators
+from flowmark.seeds import check_seed, derive_from, seed_prefix, seeded_generators, trial_seeds
 
 SEEDS = st.integers(0, 2**64 - 1)
 PARTS = st.lists(st.one_of(st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=8)), max_size=4)
@@ -96,9 +96,21 @@ class TestDerivation:
         assert derive_from(prefix, *tail) == derive_seed(master, *head, *tail)
         assert derive_from(prefix, *tail) == derive_seed(master, *head, *tail)  # prefix unchanged
 
+    @given(
+        master=SEEDS,
+        label=st.one_of(st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=8)),
+        first=st.integers(-(2**70), 2**70),
+        count=st.integers(0, 12),
+        k=st.integers(0, 7),
+    )
+    def test_trial_seeds_are_derive_seeds(self, master, label, first, count, k):
+        trials = range(first, first + count)
+        expected = [derive_seed(master, label, t, i) for t in trials for i in range(k)]
+        assert trial_seeds(master, label, trials, k) == expected
+
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.0, True])
     def test_bad_seed_is_a_toolkit_error_and_a_value_or_type_error(self, bad):
-        for call in (check_seed, derive_seed, seed_prefix):
+        for call in (check_seed, derive_seed, seed_prefix, lambda m: trial_seeds(m, "mc", [0], 1)):
             with pytest.raises(BadSeed) as info:
                 call(bad)
             assert isinstance(info.value, (FlowmarkError, ValueError, TypeError))

@@ -33,8 +33,9 @@ from flowmark.errors import (
     FlowmarkError,
     FlowTooShort,
     NonGenerativeModel,
+    SearchSpaceTooLarge,
 )
-from flowmark import watermark
+from flowmark import analysis, watermark
 
 # Keys found by scanning upward from zero for specific small patterns;
 # frozen so the golden embeddings below stay readable.
@@ -291,6 +292,19 @@ class TestOffsetCandidates:
     def test_rejects_bad_delta(self):
         with pytest.raises(BadDelta):
             offset_candidates(0.9, 0.0)
+
+    def test_candidate_count_cap(self, monkeypatch):
+        assert len(offset_candidates(4499.55, 0.45)) == analysis.MAX_OFFSETS == 10**4
+        with pytest.raises(SearchSpaceTooLarge, match="10001 offsets per flow exceed the cap of 10000"):
+            offset_candidates(4500.0, 0.45)
+        # Under a cap of 4, o_max = 1.35 s gives 0, 0.45, 0.9 and 1.35; 1.4 s gives one more.
+        monkeypatch.setattr(analysis, "MAX_OFFSETS", 4)
+        assert offset_candidates(1.35, 0.45) == [0.0, 0.45, 0.9, 1.35]
+        with pytest.raises(SearchSpaceTooLarge, match="5 offsets per flow exceed the cap of 4"):
+            offset_candidates(1.4, 0.45)
+        params = WatermarkParams(T=0.9, o=0.0, o_max=1.4, delta=0.45, n=2, key=1, clear_fraction=0.5)
+        with pytest.raises(SearchSpaceTooLarge):
+            detect(Flow([0.5], duration=5.0), params)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_offset_is_near_some_candidate(self, seed):
