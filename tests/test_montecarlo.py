@@ -47,6 +47,7 @@ from flowmark.seeds import _BLOCK_MIN
 
 CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
 MODEL = PoissonModel(poisson_rate_for_clear_probability(0.276, CFG.min_length))
+SCALE = 1.0 / MODEL.rate  # seconds per standard exponential gap
 DURATIONS = (0.9, 4.5, 15.3)
 ATTACKS = {
     "fixed": mfa_fixed_offset,
@@ -136,16 +137,16 @@ class InjectedRng:
 
 
 @contextlib.contextmanager
-def injected(modes: dict[int, str], duration: float, scale: float = 1.0 / MODEL.rate):
+def injected(modes: dict[int, str], duration: float):
     """Make the seeds in `modes` draw rewritten gaps, in the oracle and in the code."""
     real_generators = flow_model.seeded_generators
 
     def injected_rng(seed):
-        return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration, scale)
+        return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration, SCALE)
 
     def seeded_generators(seeds):
         for seed, rng in zip(seeds, real_generators(seeds)):
-            yield InjectedRng(rng, modes.get(seed, "plain"), duration, scale)
+            yield InjectedRng(rng, modes.get(seed, "plain"), duration, SCALE)
 
     with mock.patch.object(sys.modules[__name__], "oracle_rng", injected_rng), mock.patch.object(
         flow_model, "seeded_generators", seeded_generators
@@ -214,7 +215,7 @@ class TestGenerationMatchesScalarLoop:
 
     @pytest.mark.parametrize("duration", DURATIONS)
     def test_empty_rows_start_at_the_first_reachable_time(self, duration):
-        rng = InjectedRng(None, "empty", duration, 1.0 / MODEL.rate)
+        rng = InjectedRng(None, "empty", duration, SCALE)
         gap = rng.standard(duration)
         assert gap * rng.scale >= duration > np.nextafter(gap, 0.0) * rng.scale
         assert (gap * rng.scale == duration) == (duration != 0.9)
