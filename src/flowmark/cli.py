@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 runtime failure, 2 bad config or usage,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from .config import (
     model_to_section,
     to_section,
 )
-from .errors import ConfigError, FlowmarkError, InfeasibleScenario
+from .errors import ConfigError, FlowmarkError, FlowTooShort, InfeasibleScenario
 from .flow_model import (
     Flow,
     PoissonModel,
@@ -112,12 +114,19 @@ def _manifest_flows(cfg: ConfigDict, args: argparse.Namespace):
     return paths, [read_flow(p) for p in paths]
 
 
-def _writable(path: Path, force: bool) -> Path:
-    """The path, its directory made, unless it exists and --force was not given."""
+@contextlib.contextmanager
+def _writable(path: Path, force: bool) -> Iterator[Path]:
+    """A temp file beside path, renamed onto it once written, so a failed write
+    leaves the old file; an existing path needs --force."""
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_flows(
@@ -129,12 +138,13 @@ def _write_flows(
     for i in range(count):
         flow, row = draw(i)
         rel = f"flows/flow_{i:05d}.txt"
-        write_flow(flow, _writable(args.out / rel, args.force))
+        with _writable(args.out / rel, args.force) as tmp:
+            write_flow(flow, tmp)
         rows.append({"flow_index": i, **row, "path": rel})
     # Entries resolve relative to the manifest, so detect/attack configs can
     # point at <out>/manifest.txt directly.
-    manifest = _writable(args.out / "manifest.txt", args.force)
-    manifest.write_text("".join(f"{row['path']}\n" for row in rows), encoding="utf-8")
+    with _writable(args.out / "manifest.txt", args.force) as tmp:
+        tmp.write_text("".join(f"{row['path']}\n" for row in rows), encoding="utf-8")
     return rows
 
 
@@ -192,18 +202,15 @@ def _scenario_embed(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
 def _scenario_detect(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     params = from_section(WatermarkParams, cfg, "watermark")
     paths, flows = _manifest_flows(cfg, args)
-    found = [detect(flow, params) for flow in flows]
-    rows = [
-        {
-            "flow_index": i,
-            "path": str(path),
-            "detected": r.detected,
-            "recovered_offset": r.recovered_offset,
-            "match_score": r.match_score,
-        }
-        for i, (path, r) in enumerate(zip(paths, found))
-    ]
-    detected = sum(r.detected for r in found)
+    rows = []
+    for i, (path, flow) in enumerate(zip(paths, flows)):
+        try:
+            r = detect(flow, params)
+        except FlowTooShort as exc:
+            raise FlowTooShort(f"{path}: {exc}") from None
+        rows.append({"flow_index": i, "path": str(path), "detected": r.detected,
+                     "recovered_offset": r.recovered_offset, "match_score": r.match_score})
+    detected = sum(row["detected"] for row in rows)
     parameters = {
         "watermark": to_section(params),
         "experiment": {"manifest": get(cfg, "experiment", "manifest")},
@@ -440,11 +447,11 @@ def run(args: argparse.Namespace) -> Outcome:
     lines = [",".join(header)]
     lines += [",".join(_csv_cell(value) for value in row.values()) for row in outcome.rows]
     if args.format in ("csv", "both"):
-        csv_path = _writable(args.out / f"{args.scenario.replace('-', '_')}.csv", args.force)
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with _writable(args.out / f"{args.scenario.replace('-', '_')}.csv", args.force) as tmp:
+            tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.format in ("json", "both"):
-        json_text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        _writable(args.out / "report.json", args.force).write_text(json_text, encoding="utf-8")
+        with _writable(args.out / "report.json", args.force) as tmp:
+            tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return outcome
 
 

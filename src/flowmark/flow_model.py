@@ -245,7 +245,8 @@ def generate_flow(model: FlowModel, duration: float, seed: int) -> Flow:
 
 
 class FlowBlock(NamedTuple):
-    """Flows drawn together: flow r is arrivals[r, :counts[r]] over durations[r]."""
+    """Flows drawn together: flow r is arrivals[r, :counts[r]] over durations[r].
+    The rest of row r lies at or past durations[r]."""
 
     arrivals: np.ndarray
     counts: np.ndarray
@@ -271,6 +272,7 @@ def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> F
     for r in np.flatnonzero(~valid).tolist():
         flow = Flow(timestamps=arrivals[r, : counts[r]], duration=duration)
         arrivals[r, : counts[r]] = flow.timestamps
+        arrivals[r, counts[r] :] = math.inf  # the tie-break may have grown the duration
         durations[r] = flow.duration
     return FlowBlock(arrivals, counts, durations)
 

@@ -92,28 +92,31 @@ class AttackFinding:
 _BATCH_EDGES = 4096
 
 
-def _snap(
-    edges: np.ndarray, shifts: np.ndarray, quantum: float, min_units: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid windows (lo, hi) of every gap of edges at every shift, and which to keep.
-
-    edges holds, per flow, 0, its timestamps and its duration.  Row j snaps
-    each gap (s, e), shifted by -shifts[j], inward onto the quantum grid.
-    The guard loops re-check the final float expressions the soundness audit
-    uses, so a unit of rounding noise can only shrink a window further.  The
-    edge pair joining one flow's duration to the next flow's 0 runs backwards
-    and snaps to nothing.  keep marks windows at least min_units long.
-    """
+def _span(top: float, shifts: np.ndarray, quantum: float) -> float:
+    """Seconds from 0 a grid index reaches for edges up to top; past 2**62 quanta, an error."""
     # Python floats: an overflow to inf fails the check without a numpy warning.
-    if not (float(edges.max()) + float(np.abs(shifts).max())) / quantum < 2.0**62:
+    span = float(top) + float(np.abs(shifts).max())
+    if not span / quantum < 2.0**62:
         raise SearchSpaceTooLarge("flows span more than the 2**62 quanta the grid indexes")
-    s, e = edges[:-1], edges[1:]
+    return span
+
+
+def _snap(
+    s: np.ndarray, e: np.ndarray, shifts: np.ndarray, quantum: float, min_units: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid windows (lo, hi) of every gap (s, e) at every shift, and which to keep.
+
+    Row j snaps each gap, shifted by -shifts[j], inward onto the quantum grid.
+    The guard loops re-check the final float expressions the soundness audit
+    uses, so a unit of rounding noise can only shrink a window further.  A
+    gap that runs backwards snaps to nothing.  keep marks windows at least
+    min_units long.  Callers check the flows' _span first.
+    """
     sh = shifts[:, None]
-    grid = (edges - sh) / quantum
-    lo = np.ceil(grid[:, :-1]).astype(np.int64)
+    lo = np.ceil((s - sh) / quantum).astype(np.int64)
     while (short := lo * quantum + sh < s).any():
         lo += short
-    hi = np.floor(grid[:, 1:]).astype(np.int64)
+    hi = np.floor((e - sh) / quantum).astype(np.int64)
     while (over := hi * quantum + sh > e).any():
         hi -= over
     return lo, hi, (hi > lo) & (hi - lo >= min_units)
@@ -129,6 +132,7 @@ def _snapped_windows(
     """
     sizes = [len(flow) + 2 for flow in flows]
     shift_arr = np.asarray(shifts, dtype=float)
+    _span(max(flow.duration for flow in flows), shift_arr, quantum)
 
     def batch(a: int, b: int) -> list[list[list[tuple[int, int]]]]:
         edges = np.zeros(sum(sizes[a:b]))  # per flow: 0, its timestamps, its duration
@@ -136,7 +140,7 @@ def _snapped_windows(
         for flow, end in zip(flows[a:b], starts[1:]):
             edges[end - len(flow) - 1 : end - 1] = flow.timestamps
             edges[end - 1] = flow.duration
-        lo, hi, keep = _snap(edges, shift_arr, quantum, min_units)
+        lo, hi, keep = _snap(edges[:-1], edges[1:], shift_arr, quantum, min_units)
         # Flat indices run shift-major, then by gap, so each (shift, flow) is one run.
         nf, gaps = b - a, edges.size - 1
         bounds = [j * gaps + c for j in range(len(shifts)) for c in starts[:-1]] + [keep.size]
@@ -164,29 +168,41 @@ def block_verdicts(
 
     Flows k*t to k*t + k - 1 of the block make up trial t.  A trial is present
     iff some grid start x has [x, x + m] inside one window of every flow, at
-    some shift of that flow (m = _min_units(cfg)).  A kept window (lo, hi)
-    holds the starts [lo, hi - m + 1).  One sorted sweep of +1/-1 events
-    merges each flow's starts over all shifts into disjoint pieces, where its
-    depth leaves and returns to 0; a second sweep over the pieces of each
-    trial finds where k flows cover a start.  Events sort by one int64 key,
-    (group * n + rank) * 2 + rise, where rank indexes the n distinct
-    coordinates, so at equal coordinates a piece ends before another starts.
+    some shift of that flow (m = _min_units(cfg)).  Only gaps max(m, 1) quanta
+    long, less a rounding slack, are snapped: snapping only shrinks a gap and
+    a shift keeps its length, so a shorter gap never gives a kept window.  A
+    kept window (lo, hi) holds the starts [lo, hi - m + 1).  One sorted sweep
+    of +1/-1 events merges each flow's starts over all shifts into disjoint
+    pieces, where its depth leaves and returns to 0; a second sweep over the
+    pieces of each trial finds where k flows cover a start.  Events sort by
+    one int64 key, group * stride + 2 * (coordinate - base) + rise, so at
+    equal coordinates a piece ends before another starts; where that would
+    overflow, coordinates are replaced by their ranks.
     """
     rows, width = block.arrivals.shape
+    shifts = np.asarray(shifts, dtype=float)
+    span = _span(block.durations.max(), shifts, cfg.quantum)
+    # Row r holds 0, its arrivals and then its duration, repeated to the end.
     edges = np.empty((rows, width + 2))
     edges[:, 0] = 0.0
-    edges[:, 1:-1] = block.arrivals
+    np.minimum(block.arrivals, block.durations[:, None], out=edges[:, 1:-1])
     edges[:, -1] = block.durations
-    inside = np.ones(edges.shape, dtype=bool)
-    inside[:, 1:-1] = np.arange(width) < block.counts[:, None]
+    edges = edges.ravel()
     m = _min_units(cfg)
-    lo, hi, keep = _snap(edges[inside], np.asarray(shifts, dtype=float), cfg.quantum, m)
-    gap_flow = np.repeat(np.arange(rows), block.counts + 2)[:-1]
-    flow = np.broadcast_to(gap_flow, keep.shape)[keep]
-    coords, rank = np.unique(np.concatenate((lo[keep], hi[keep] - (m - 1))), return_inverse=True)
-    stride = 2 * coords.size  # keys of one group
-    rises = np.arange(rank.size) < flow.size
-    key = np.sort(np.concatenate((flow, flow)) * stride + 2 * rank + rises)
+    # Rounding moves a snapped end by far less than 1e-12 of the largest magnitude.
+    gap = np.flatnonzero(edges[1:] - edges[:-1] >= max(m, 1) * cfg.quantum - 1e-12 * span)
+    lo, hi, keep = _snap(edges[gap], edges[gap + 1], shifts, cfg.quantum, m)
+    flow = np.broadcast_to(gap // (width + 2), keep.shape)[keep]
+    coords = np.concatenate((lo[keep], hi[keep] - (m - 1)))
+    base = int(coords.min(initial=0))
+    stride = 2 * (int(coords.max(initial=0)) - base + 1)  # keys of one group
+    if rows * stride >= 2**63:
+        base, coords = 0, np.unique(coords, return_inverse=True)[1]
+        stride = 2 * coords.size
+    rises = np.arange(coords.size) < flow.size
+    # The rises of each shift, and its falls, are sorted runs: a stable sort merges them.
+    key = np.concatenate((flow, flow)) * stride + 2 * (coords - base) + rises
+    key = np.sort(key, kind="stable")
     rise = key & 1
     key = key[np.cumsum(2 * rise - 1) == rise]  # depth 0 -> 1 or 1 -> 0: piece bounds
     group, slot = np.divmod(key, stride)
@@ -363,9 +379,9 @@ def attack(
 
     The bound uses multiplier len(offsets), the method's offsets per flow,
     and clear_prob, else the flows' mean estimate, taken before the search
-    (an error there names flow i by names[i], such as its file, or its
-    index).  The exhaustive method errors if its multiplier ** k space
-    exceeds the cap.
+    (an error there or in the span guard names flow i by names[i], such as
+    its file, or its index).  The exhaustive method errors if its
+    multiplier ** k space exceeds the cap.
     """
     k = len(flows)
     offsets, search = attack_plan(method, cfg, k)
@@ -374,7 +390,12 @@ def attack(
             f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
         )
     p = _mean_clear_probability(flows, cfg, names) if clear_prob is None else clear_prob
-    searched, window, path = search(_window_lists(flows, cfg, offsets))
+    try:
+        lists = _window_lists(flows, cfg, offsets)
+    except SearchSpaceTooLarge as exc:  # the span guard, which the longest flow fails
+        i = max(range(k), key=lambda i: flows[i].duration)
+        raise SearchSpaceTooLarge(f"{names[i] if names else f'flow {i}'}: {exc}") from None
+    searched, window, path = search(lists)
     matched = assignment = None
     if window is not None:
         lo, hi = window

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -224,6 +226,24 @@ class TestGenerateScenario:
         rc = run_cli("generate", "--config", gen_config, "--out", out, "--seed", "7", "--force")
         assert rc == EXIT_OK
 
+    def test_a_failed_forced_write_leaves_the_old_report(self, tmp_path, gen_config):
+        out = tmp_path / "out"
+        assert run_cli("generate", "--config", gen_config, "--out", out, "--seed", "7") == EXIT_OK
+        old = (out / "report.json").read_bytes()
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            if "report.json" not in path.name:
+                return real_write_text(path, text, *args, **kwargs)
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        with mock.patch.object(Path, "write_text", write_half_then_fail):
+            rc = run_cli("generate", "--config", gen_config, "--out", out, "--seed", "8", "--force")
+        assert rc == EXIT_IO
+        assert (out / "report.json").read_bytes() == old
+        assert [p.name for p in out.rglob("*") if p.name.startswith(".")] == []
+
     def test_zero_trials_is_config_error(self, tmp_path, gen_config):
         rc = run_cli(
             "generate", "--config", gen_config, "--out", tmp_path / "o",
@@ -415,6 +435,37 @@ class TestAttackScenario:
         assert err.count("\n") == 1
         assert err.startswith(f"error: {tmp_path / 'b.txt'}: ") and "window starts" in err
         assert "a.txt" not in err
+
+    def test_flow_past_the_grid_span_is_named_in_a_one_line_failure(self, tmp_path, capsys):
+        # With delta = T no clear probability is estimated, so the search's
+        # span guard is the first to see the 1e300 s flow.
+        write_flow(generate_flow(PoissonModel(3.0), 20.0, 1), tmp_path / "a.txt")
+        (tmp_path / "b.txt").write_text("# duration=1e300\n0.5\n")
+        (tmp_path / "manifest.txt").write_text("a.txt\nb.txt\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            ATTACK_SECTION.replace("delta = 0.45", "delta = 0.9")
+            + "\n[experiment]\nmanifest = manifest.txt\n"
+        )
+        rc = run_cli("attack", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'b.txt'}: ") and "2**62 quanta" in err
+
+    def test_flow_shorter_than_the_detector_span_is_named_in_a_one_line_failure(
+        self, tmp_path, capsys
+    ):
+        write_flow(generate_flow(PoissonModel(3.0), 20.0, 1), tmp_path / "a.txt")
+        write_flow(generate_flow(PoissonModel(3.0), 5.0, 2), tmp_path / "b.txt")
+        (tmp_path / "manifest.txt").write_text("a.txt\nb.txt\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(WATERMARK_SECTION + "\n[experiment]\nmanifest = manifest.txt\n")
+        rc = run_cli("detect", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {tmp_path / 'b.txt'}: flow duration 5.0 is shorter")
 
     def test_non_utf8_manifest_is_a_one_line_failure(self, tmp_path, capsys):
         (tmp_path / "manifest.txt").write_bytes(b"\xff\xfeflow.txt\n")
@@ -775,8 +826,13 @@ def test_fuzzed_config_ends_in_an_exit_code(fuzz_dir, scenario, text):
     argv = [scenario, "--config", str(cfg), "--out", str(fuzz_dir / "out"),
             "--seed", "1", "--trials", "1", "--force"]
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    # A warning would print lines of its own to stderr.
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(
+        io.StringIO()
+    ), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         rc = main(argv)
+    assert [str(w.message) for w in caught] == []
     assert rc in {EXIT_OK, EXIT_FAILURE, EXIT_CONFIG, EXIT_IO, EXIT_INFEASIBLE}
     if rc != EXIT_OK:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -401,6 +401,11 @@ class TestVariedOffset:
         # clear probability is estimated before the search snaps it.
         with pytest.raises(SearchSpaceTooLarge, match=r"^flow 0: "):
             attack("fixed", [Flow([0.5], duration=1e300)], REFERENCE_CFG)
+        # With delta = T nothing is estimated, and the search's span guard names it.
+        cfg = AttackConfig(T=0.9, delta=0.9, o_max=0.9, epsilon=1e-5)
+        flows[1] = Flow([0.5], duration=1e300)
+        with pytest.raises(SearchSpaceTooLarge, match=r"^b\.txt: flows span more than the 2\*\*62"):
+            attack("bnb", flows, cfg, names=["a.txt", "b.txt"])
 
     def test_bnb_has_no_cap(self):
         cfg = AttackConfig(T=0.9, delta=0.45, o_max=1.8, epsilon=1e-5)

@@ -137,16 +137,16 @@ class InjectedRng:
 
 
 @contextlib.contextmanager
-def injected(modes: dict[int, str], duration: float):
+def injected(modes: dict[int, str], duration: float, scale: float = SCALE):
     """Make the seeds in `modes` draw rewritten gaps, in the oracle and in the code."""
     real_generators = flow_model.seeded_generators
 
     def injected_rng(seed):
-        return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration, SCALE)
+        return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration, scale)
 
     def seeded_generators(seeds):
         for seed, rng in zip(seeds, real_generators(seeds)):
-            yield InjectedRng(rng, modes.get(seed, "plain"), duration, SCALE)
+            yield InjectedRng(rng, modes.get(seed, "plain"), duration, scale)
 
     with mock.patch.object(sys.modules[__name__], "oracle_rng", injected_rng), mock.patch.object(
         flow_model, "seeded_generators", seeded_generators
@@ -254,15 +254,24 @@ def seeded_trials(draw, max_flows: int = 120):
 
 
 class TestBlockVerdictsMatchListSearches:
+    # p is the clear probability of 0.45 s: at 0.5, gaps near m quanta of
+    # delta = 0.45 are common.  The injected modes land where they should at
+    # each of these rates.  delta = T makes m = 0.
     @settings(deadline=None)
-    @given(case=seeded_trials(), o_max=st.sampled_from([0.0, 0.45, 0.9, 1.8]))
-    def test_verdicts(self, case, o_max):
+    @given(
+        case=seeded_trials(),
+        o_max=st.sampled_from([0.0, 0.45, 0.9, 1.8]),
+        p=st.sampled_from([0.276, 0.4, 0.5]),
+        delta=st.sampled_from([0.45, 0.9]),
+    )
+    def test_verdicts(self, case, o_max, p, delta):
         method, k, (duration, seeds, modes) = case
-        cfg = AttackConfig(T=0.9, delta=0.45, o_max=o_max, epsilon=1e-5)
+        cfg = AttackConfig(T=0.9, delta=delta, o_max=o_max, epsilon=1e-5)
         shifts, search = attack_plan(method, cfg, k)
-        with injected(modes, duration):
-            block = generate_block(MODEL, duration, seeds)
-            flows = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
+        model = PoissonModel(poisson_rate_for_clear_probability(p, 0.45))
+        with injected(modes, duration, 1.0 / model.rate):
+            block = generate_block(model, duration, seeds)
+            flows = [reference_generate_flow(model, duration, seed) for seed in seeds]
         verdicts = block_verdicts(block, cfg, shifts, k).tolist()
         assert verdicts == list_verdicts(flows, cfg, shifts, k)
         assert verdicts == list_verdicts(flows, cfg, shifts, k, search)
@@ -304,21 +313,36 @@ class TestBlockVerdictsMatchListSearches:
         assert 0 < sum(block_verdicts(block, CFG, shifts, 5)) < count // 5
 
 
-def hand_block(*flows: tuple[list[float], float]) -> FlowBlock:
-    """A block of flows given as (timestamps in quanta, duration in quanta) of CFG."""
+def hand_block(*flows: tuple[list[float], float], unit: float = CFG.quantum) -> FlowBlock:
+    """A block of flows given as (timestamps, duration) in units of `unit`
+    seconds, by default CFG's quantum."""
     width = max(1, *(len(ts) for ts, _ in flows))
     arrivals = np.full((len(flows), width), np.inf)
     for row, (ts, _) in zip(arrivals, flows):
-        row[: len(ts)] = np.array(ts) * CFG.quantum
+        row[: len(ts)] = np.array(ts) * unit
     counts = np.array([len(ts) for ts, _ in flows])
-    return FlowBlock(arrivals, counts, np.array([d for _, d in flows]) * CFG.quantum)
+    return FlowBlock(arrivals, counts, np.array([d for _, d in flows]) * unit)
+
+
+def ulps(x: float, n: int) -> float:
+    """x moved n floats up, or -n floats down."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, math.copysign(math.inf, n))
+    return float(x)
+
+
+def dense_around(s: float, e: float, end: float) -> tuple[list[float], float]:
+    """A flow in seconds with packets at s and e and every 0.2 s before s and
+    after e, up to its duration end: (s, e) is its only gap longer than 0.3 s."""
+    return [*np.arange(0.2, s - 0.1, 0.2), s, e, *np.arange(e + 0.2, end - 0.1, 0.2)], end
 
 
 class TestBlockVerdictEdges:
     """Hand-built flows of CFG (m = 8 quanta) on and next to the sweep's boundaries.
 
     Packets sit half a quantum off the grid, so each gap snaps to the grid
-    points just inside it, with no rounding at stake.
+    points just inside it, with no rounding at stake, except in the tests
+    of gaps of m quanta give or take a few ulps, whose packets sit on it.
     """
 
     def verdicts(self, block: FlowBlock, shifts, k: int) -> list[bool]:
@@ -351,6 +375,44 @@ class TestBlockVerdictEdges:
         # flow 0's windows joined into [-6, 10] would share [-2, 6] with flow 1.
         block = hand_block(([1.5, 10.5], 12.5), ([5.5, 14.5], 16.5))
         assert self.verdicts(block, [0.0, 8 * CFG.quantum], 2) == [False]
+
+    def test_gaps_of_m_quanta_give_or_take_ulps_near_0(self):
+        q, flows, gaps = CFG.quantum, [], []
+        for lo in range(1, 30):
+            for n in range(-2, 3):
+                s, e = lo * q, ulps((lo + 8) * q, n)
+                flows.append(dense_around(s, e, e + 0.2))
+                gaps.append(e - s)
+        got = self.verdicts(hand_block(*flows, unit=1.0), [0.0], 1)
+        # Some gaps measure less than m quanta and still snap to m of them.
+        assert any(v and gap < 8 * q for v, gap in zip(got, gaps)) and not all(got)
+
+    def test_gaps_of_m_quanta_give_or_take_ulps_near_a_million_seconds(self):
+        # Each trial: flow A has packets every 0.2 s to 2 s and then only the
+        # gap (lo q, (lo + 8) q) near 10**6 s; flow B has one window near 1 s,
+        # which the shift of about -10**6 s lays over that gap with 2.5 quanta
+        # to spare at each end.  No other pair of windows overlaps by m, so
+        # the trial is present iff A's gap keeps its m quanta, where ulps are
+        # 2**-33 s.
+        q, first = CFG.quantum, 17_777_778
+        shift = 1.0 - first * q
+        flows, gaps = [], []
+        for lo in range(first, first + 10):
+            for n in range(-2, 3):
+                s, e = lo * q, ulps((lo + 8) * q, n)
+                flows.append(([*np.arange(0.2, 2.1, 0.2), s, e], e + 0.2))
+                flows.append(dense_around(s + shift - 2.5 * q, e + shift + 2.5 * q, 2.6))
+                gaps.append(e - s)
+        got = self.verdicts(hand_block(*flows, unit=1.0), [0.0, shift], 2)
+        assert any(v and gap < 8 * q for v, gap in zip(got, gaps)) and not all(got)
+
+    def test_keys_past_int64_fall_back_to_ranks(self):
+        # A flow of 2**61 quanta holds starts [0, 2**61 - 7], so with four
+        # rows the sweep's keys need 4 * 2 * (2**61 - 6) > 2**63 values.
+        big = 2**61
+        block = hand_block(([], big), ([], big), ([], big), ([2.5, 6.5, 10.5], 12.5))
+        assert self.verdicts(block, [0.0], 2) == [True, False]
+        assert self.verdicts(block, [0.0, 8 * CFG.quantum], 1) == [True, True, True, False]
 
     def test_empty_rows_and_flows_without_windows(self):
         # Row 1 has no packet; row 2 has no gap as long as m.
