@@ -42,7 +42,6 @@ from .watermark import (
     derive_pattern,
     detect,
     embed,
-    false_positive_rate,
     offset_candidates,
     wilson_interval,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "embed",
     "errors",
     "estimate_clear_probability",
-    "false_positive_rate",
     "find_clear_windows",
     "fp_bound",
     "generate_flow",

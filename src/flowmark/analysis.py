@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import BadDelta, BadParameter, BadProbability, SearchSpaceTooLarge
+from .errors import BadParameter, SearchSpaceTooLarge
 
 # Ratios that land within this relative distance of an integer are treated
 # as exact before ceiling, so 0.9 / 0.3 = 3.0000000000000004 does not
@@ -39,7 +39,7 @@ def offset_multiplier(o_max: float, delta: float) -> int:
     o_max = 0 means a single fixed offset, reported as multiplier 1.
     """
     if delta <= 0 or not math.isfinite(delta):
-        raise BadDelta(f"delta must be positive, got {delta}")
+        raise BadParameter(f"delta must be positive, got {delta}")
     if o_max < 0 or not math.isfinite(o_max):
         raise BadParameter(f"o_max must be non-negative, got {o_max}")
     if o_max == 0:
@@ -142,7 +142,7 @@ def countermeasure_threshold(T: float, p_half: float) -> float:
     if T <= 0 or not math.isfinite(T):
         raise BadParameter(f"interval length must be positive, got {T}")
     if not 0.0 < p_half <= 1.0:
-        raise BadProbability(
+        raise BadParameter(
             f"clear probability at T/2 must be in (0, 1], got {p_half}"
         )
     return T / (2.0 * p_half)
@@ -153,7 +153,7 @@ def countermeasure_is_effective(o_max: float, T: float, p_half: float) -> bool:
     if T <= 0 or not math.isfinite(T):
         raise BadParameter(f"interval length must be positive, got {T}")
     if not 0.0 < p_half <= 1.0:
-        raise BadProbability(
+        raise BadParameter(
             f"clear probability at T/2 must be in (0, 1], got {p_half}"
         )
     return offset_multiplier(o_max, T / 2.0) * p_half >= 1.0

@@ -16,6 +16,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -133,7 +134,9 @@ def _write_flows(
     count: int, draw: Callable[[int], tuple[Flow, dict]], args: argparse.Namespace
 ) -> list[dict]:
     """Write the flow draw(i) gives to flows/flow_<i>.txt under --out, one at a
-    time, then a manifest; return the rows draw gives, with index and path."""
+    time, then a manifest; return the rows draw gives, with index and path.
+    With --force, flow files of an earlier run that the manifest no longer
+    lists are removed."""
     rows = []
     for i in range(count):
         flow, row = draw(i)
@@ -145,6 +148,12 @@ def _write_flows(
     # point at <out>/manifest.txt directly.
     with _writable(args.out / "manifest.txt", args.force) as tmp:
         tmp.write_text("".join(f"{row['path']}\n" for row in rows), encoding="utf-8")
+    if args.force:
+        listed = {Path(row["path"]).name for row in rows}
+        for path in (args.out / "flows").glob("flow_*.txt"):
+            # Only the names flow_{i:05d}.txt gives.
+            if re.fullmatch(r"flow_(\d{5}|[1-9]\d{5,})\.txt", path.name) and path.name not in listed:
+                path.unlink()
     return rows
 
 

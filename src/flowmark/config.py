@@ -94,6 +94,7 @@ def parse_config(text: str, origin: str = "<config>") -> ConfigDict:
 
 
 def load_config(path: str | Path) -> ConfigDict:
+    """Read and parse a UTF-8 config file; errors name the file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

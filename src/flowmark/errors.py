@@ -15,40 +15,12 @@ class FlowFileError(FlowmarkError):
     """Malformed flow file or manifest; the message names the file (and line)."""
 
 
-class NonGenerativeModel(FlowmarkError):
-    """A flow model that cannot synthesize flows was asked to generate one."""
-
-
-class InvalidDuration(FlowmarkError):
-    """Flow duration must be positive, with a finite expected packet count."""
-
-
-class NegativeWindow(FlowmarkError):
-    """Window length must be positive."""
-
-
-class WindowTooLong(FlowmarkError):
-    """Window length exceeds the flow duration."""
-
-
-class BadFraction(FlowmarkError):
-    """clear_fraction must lie in (0, 1)."""
-
-
 class FlowTooShort(FlowmarkError):
     """Flow does not span the watermark window."""
 
 
 class SearchSpaceTooLarge(FlowmarkError):
     """Offset enumeration or the window grid would exceed its cap."""
-
-
-class BadDelta(FlowmarkError):
-    """Offset step delta must be positive."""
-
-
-class BadProbability(FlowmarkError):
-    """Probability outside the range its use allows, such as (0, 1] or (0, 1)."""
 
 
 class ConfigError(FlowmarkError):
@@ -61,7 +33,9 @@ class InfeasibleScenario(FlowmarkError):
 
 class BadParameter(FlowmarkError, ValueError):
     """A parameter outside the values its use allows: a non-positive length,
-    quantum or count, an epsilon outside (0, 1), an unknown attack method."""
+    duration, quantum, count or offset step delta, a window longer than its
+    flow, a fraction or probability outside its range (such as (0, 1)), an
+    unknown attack method, or a model that cannot generate flows."""
 
 
 class BadSeed(FlowmarkError, ValueError, TypeError):

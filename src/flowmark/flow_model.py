@@ -17,16 +17,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import (
-    BadParameter,
-    BadProbability,
-    FlowFileError,
-    InvalidDuration,
-    NegativeWindow,
-    NonGenerativeModel,
-    SearchSpaceTooLarge,
-    WindowTooLong,
-)
+from .errors import BadParameter, FlowFileError, SearchSpaceTooLarge
 from .seeds import seeded_generators
 
 
@@ -73,7 +64,7 @@ class Flow:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.duration) or self.duration <= 0:
-            raise InvalidDuration(f"duration must be positive, got {self.duration}")
+            raise BadParameter(f"duration must be positive, got {self.duration}")
         arr = _canonical_timestamps(self.timestamps)
         if arr.size:
             if arr[0] < 0.0:
@@ -187,14 +178,14 @@ def draw_width(model: FlowModel, duration: float) -> int:
     Also the check that the model can generate a flow of this duration.
     """
     if not isinstance(model, PoissonModel):
-        raise NonGenerativeModel(
+        raise BadParameter(
             f"{type(model).__name__} describes probabilities only and cannot generate flows"
         )
     if not math.isfinite(duration) or duration <= 0:
-        raise InvalidDuration(f"duration must be positive, got {duration}")
+        raise BadParameter(f"duration must be positive, got {duration}")
     expected = model.rate * duration
     if not expected <= MAX_FLOW_PACKETS:
-        raise InvalidDuration(
+        raise BadParameter(
             f"rate {model.rate} over duration {duration} expects {expected} packets, "
             f"more than the {MAX_FLOW_PACKETS} one flow may hold"
         )
@@ -280,7 +271,7 @@ def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> F
 def clear_probability(model: FlowModel, t: float) -> float:
     """Probability that a window of length t seconds contains no packet."""
     if t < 0 or not math.isfinite(t):
-        raise NegativeWindow(f"window length must be non-negative, got {t}")
+        raise BadParameter(f"window length must be non-negative, got {t}")
     if t == 0.0:
         return 1.0  # an empty window cannot contain a packet
     if isinstance(model, PoissonModel):
@@ -297,9 +288,9 @@ def estimate_clear_probability(flow: Flow, t: float, stride: float) -> float:
     is an error.
     """
     if t <= 0 or not math.isfinite(t):
-        raise NegativeWindow(f"window length must be positive, got {t}")
+        raise BadParameter(f"window length must be positive, got {t}")
     if t > flow.duration:
-        raise WindowTooLong(
+        raise BadParameter(
             f"window {t} exceeds flow duration {flow.duration}"
         )
     if not 0 < stride <= t:
@@ -323,9 +314,9 @@ def estimate_clear_probability(flow: Flow, t: float, stride: float) -> float:
 def poisson_rate_for_clear_probability(p: float, t: float) -> float:
     """Rate lam with exp(-lam * t) == p: calibrates Poisson to a measured point."""
     if not 0.0 < p < 1.0:
-        raise BadProbability(f"clear probability must be in (0, 1), got {p}")
+        raise BadParameter(f"clear probability must be in (0, 1), got {p}")
     if t <= 0 or not math.isfinite(t):
-        raise NegativeWindow(f"window length must be positive, got {t}")
+        raise BadParameter(f"window length must be positive, got {t}")
     return -math.log(p) / t
 
 

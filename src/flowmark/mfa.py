@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import ceil_snapped, check_offset_count, fp_bound, offset_multiplier
-from .errors import BadDelta, BadParameter, FlowFileError, NegativeWindow, SearchSpaceTooLarge
+from .errors import BadParameter, FlowFileError, SearchSpaceTooLarge
 from .flow_model import Flow, FlowBlock, estimate_clear_probability
 
 
@@ -44,7 +44,7 @@ class AttackConfig:
         if self.T <= 0 or not math.isfinite(self.T):
             raise BadParameter(f"interval length must be positive, got {self.T}")
         if not 0 < self.delta <= self.T or not math.isfinite(self.delta):
-            raise BadDelta(f"delta must be in (0, T={self.T}], got {self.delta}")
+            raise BadParameter(f"delta must be in (0, T={self.T}], got {self.delta}")
         if self.o_max < 0 or not math.isfinite(self.o_max):
             raise BadParameter(f"o_max must be non-negative, got {self.o_max}")
         if not 0.0 < self.epsilon < 1.0:
@@ -236,7 +236,7 @@ def find_clear_windows(flow: Flow, min_length: float, quantum: float) -> list[Cl
     outside.  Results are sorted by start.
     """
     if min_length <= 0 or not math.isfinite(min_length):
-        raise NegativeWindow(f"min_length must be positive, got {min_length}")
+        raise BadParameter(f"min_length must be positive, got {min_length}")
     if quantum <= 0 or not math.isfinite(quantum):
         raise BadParameter(f"quantum must be positive, got {quantum}")
     min_units = ceil_snapped(min_length / quantum)
@@ -371,7 +371,6 @@ def attack(
     flows: Sequence[Flow],
     cfg: AttackConfig,
     *,
-    cap: int = EXHAUSTIVE_CAP,
     clear_prob: Optional[float] = None,
     names: Optional[Sequence[object]] = None,
 ) -> AttackFinding:
@@ -381,13 +380,13 @@ def attack(
     and clear_prob, else the flows' mean estimate, taken before the search
     (an error there or in the span guard names flow i by names[i], such as
     its file, or its index).  The exhaustive method errors if its
-    multiplier ** k space exceeds the cap.
+    multiplier ** k space exceeds EXHAUSTIVE_CAP.
     """
     k = len(flows)
     offsets, search = attack_plan(method, cfg, k)
-    if method == "exhaustive" and (space := len(offsets) ** k) > cap:
+    if method == "exhaustive" and (space := len(offsets) ** k) > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
-            f"{len(offsets)}^{k} = {space} configurations exceed the cap {cap}"
+            f"{len(offsets)}^{k} = {space} configurations exceed the cap {EXHAUSTIVE_CAP}"
         )
     p = _mean_clear_probability(flows, cfg, names) if clear_prob is None else clear_prob
     try:
@@ -423,19 +422,15 @@ def mfa_fixed_offset(
 
 
 def mfa_varied_offset_exhaustive(
-    flows: Sequence[Flow],
-    cfg: AttackConfig,
-    *,
-    cap: int = EXHAUSTIVE_CAP,
-    clear_prob: Optional[float] = None,
+    flows: Sequence[Flow], cfg: AttackConfig, *, clear_prob: Optional[float] = None
 ) -> AttackFinding:
     """Try every per-flow offset assignment in lexicographic order.
 
     Stops at the first assignment exhibiting a common clear window; errors
-    if the multiplier ** k space exceeds the cap.  This is the reference
-    enumeration the branch-and-bound search is checked against.
+    if the multiplier ** k space exceeds EXHAUSTIVE_CAP.  This is the
+    reference enumeration the branch-and-bound search is checked against.
     """
-    return attack("exhaustive", flows, cfg, cap=cap, clear_prob=clear_prob)
+    return attack("exhaustive", flows, cfg, clear_prob=clear_prob)
 
 
 def mfa_varied_offset_bnb(

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .analysis import countermeasure_is_effective, countermeasure_threshold, fp_bound, min_flows
 from .flow_model import (
+    REFERENCE_CLEAR_TABLE,
     PoissonModel,
     draw_width,
     generate_block,
@@ -26,9 +27,7 @@ from .seeds import trial_seeds
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
 # the reference trace. All headline numbers below derive from these.
-REFERENCE_P_175MS = 0.525
-REFERENCE_P_350MS = 0.33
-REFERENCE_P_450MS = 0.276
+REFERENCE_P_175MS, REFERENCE_P_350MS, REFERENCE_P_450MS = (p for _, p in REFERENCE_CLEAR_TABLE.table)
 
 REPRO_DEFAULT_SEED = 101
 REPRO_DEFAULT_TRIALS = 10_000

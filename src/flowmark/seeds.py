@@ -58,13 +58,6 @@ def seed_prefix(master: int, *parts: int | float | str):
     return h
 
 
-def derive_from(prefix, *parts: int | float | str) -> int:
-    """derive_seed(master, *head, *parts) for prefix = seed_prefix(master, *head)."""
-    h = prefix.copy()
-    h.update(b"".join(map(_encode, parts)))
-    return int.from_bytes(h.digest(), "little")
-
-
 def trial_seeds(master: int, label: int | float | str, trials: Iterable[int], k: int) -> list[int]:
     """[derive_seed(master, label, t, i) for t in trials for i in range(k)].
 

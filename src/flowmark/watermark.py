@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .analysis import ceil_snapped, check_offset_count
-from .errors import BadDelta, BadFraction, BadParameter, FlowTooShort
-from .flow_model import Flow, FlowModel, draw_width, generate_block
-from .seeds import check_seed, derive_from, derive_seed, seed_prefix
+from .errors import BadParameter, FlowTooShort
+from .flow_model import Flow
+from .seeds import check_seed, derive_seed
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,12 @@ class WatermarkParams:
                 f"offset must lie in [0, o_max={self.o_max}], got {self.o}"
             )
         if not 0 < self.delta <= self.T or not math.isfinite(self.delta):
-            raise BadDelta(f"delta must be in (0, T={self.T}], got {self.delta}")
+            raise BadParameter(f"delta must be in (0, T={self.T}], got {self.delta}")
         if self.n < 1:
             raise BadParameter(f"interval count must be at least 1, got {self.n}")
         check_seed(self.key)
         if not 0.0 < self.clear_fraction < 1.0:
-            raise BadFraction(
+            raise BadParameter(
                 f"clear_fraction must be in (0, 1), got {self.clear_fraction}"
             )
 
@@ -84,6 +84,8 @@ class ClearPattern:
 
 @dataclass(frozen=True)
 class DetectionResult:
+    """Detector verdict, the offset it matched at, and the best silent fraction."""
+
     detected: bool
     recovered_offset: Optional[float]
     match_score: float
@@ -95,7 +97,7 @@ def derive_pattern(key: int, n: int, clear_fraction: float) -> ClearPattern:
     if n < 1:
         raise BadParameter(f"interval count must be at least 1, got {n}")
     if not 0.0 < clear_fraction < 1.0:
-        raise BadFraction(f"clear_fraction must be in (0, 1), got {clear_fraction}")
+        raise BadParameter(f"clear_fraction must be in (0, 1), got {clear_fraction}")
     size = max(1, ceil_snapped(clear_fraction * n))
     rng = random.Random(derive_seed(key, "pattern", n, clear_fraction))
     cleared = frozenset(rng.sample(range(n), size))
@@ -140,7 +142,7 @@ def offset_candidates(o_max: float, delta: float) -> list[float]:
     More than MAX_OFFSETS candidates is an error.
     """
     if delta <= 0 or not math.isfinite(delta):
-        raise BadDelta(f"delta must be positive, got {delta}")
+        raise BadParameter(f"delta must be positive, got {delta}")
     if o_max < 0 or not math.isfinite(o_max):
         raise BadParameter(f"o_max must be non-negative, got {o_max}")
     steps = ceil_snapped(o_max / delta) if o_max > 0 else 0
@@ -191,30 +193,3 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4.0 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
-
-# Gaps drawn per block of false-positive trials.
-_BLOCK_GAPS = 1 << 16
-
-
-def false_positive_rate(
-    model: FlowModel, params: WatermarkParams, trials: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo detection rate on unwatermarked flows, with Wilson half-width.
-
-    Flows are generated just long enough for the detector sweep
-    (o_max + n*T seconds), trial t's with seed derive_seed(seed,
-    "fpr-trial", t), a block of trials at a time.  Requires at least 100
-    trials for the interval to mean anything.
-    """
-    if trials < 100:
-        raise BadParameter(f"need at least 100 trials, got {trials}")
-    prefix = seed_prefix(seed, "fpr-trial")
-    duration = params.o_max + params.n * params.T
-    per_block = max(1, _BLOCK_GAPS // draw_width(model, duration))
-    hits = 0
-    for first in range(0, trials, per_block):
-        seeds = [derive_from(prefix, t) for t in range(first, min(trials, first + per_block))]
-        block = generate_block(model, duration, seeds)
-        hits += sum(detect(block.flow(r), params).detected for r in range(len(seeds)))
-    lo, hi = wilson_interval(hits, trials)
-    return hits / trials, (hi - lo) / 2.0

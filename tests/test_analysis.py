@@ -17,13 +17,7 @@ from flowmark import (
     sweep_table,
 )
 from flowmark.analysis import SWEEP_COLUMNS, ceil_snapped
-from flowmark.errors import (
-    BadDelta,
-    BadParameter,
-    BadProbability,
-    FlowmarkError,
-    SearchSpaceTooLarge,
-)
+from flowmark.errors import BadParameter, FlowmarkError, SearchSpaceTooLarge
 
 
 class TestCeilSnapped:
@@ -60,7 +54,7 @@ class TestOffsetMultiplier:
         assert offset_multiplier(0.9, 0.3) == 3
 
     def test_rejects_nonpositive_delta(self):
-        with pytest.raises(BadDelta):
+        with pytest.raises(BadParameter, match="delta must be positive"):
             offset_multiplier(0.9, 0.0)
 
     def test_rejects_negative_spread(self):
@@ -187,9 +181,9 @@ class TestCountermeasure:
         assert countermeasure_threshold(0.35, 0.9) < countermeasure_threshold(0.35, 0.3)
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(BadProbability):
+        with pytest.raises(BadParameter, match="clear probability at T/2 must be in"):
             countermeasure_threshold(0.35, 0.0)
-        with pytest.raises(BadProbability):
+        with pytest.raises(BadParameter, match="clear probability at T/2 must be in"):
             countermeasure_threshold(0.35, 1.2)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -252,6 +246,7 @@ class TestSweepTable:
 
 # Every plain-value check of the analysis module, one call each.
 BAD_PARAMETERS = {
+    "offset_multiplier delta": lambda: offset_multiplier(0.9, 0.0),
     "offset_multiplier o_max": lambda: offset_multiplier(-0.1, 0.45),
     "fp_bound k": lambda: fp_bound(0, 0.276),
     "fp_bound p": lambda: fp_bound(1, 1.5),
@@ -259,7 +254,9 @@ BAD_PARAMETERS = {
     "min_flows epsilon": lambda: min_flows(1.0, 0.9, 0.45, 0.276),
     "min_flows p": lambda: min_flows(1e-5, 0.9, 0.45, -0.1),
     "countermeasure_threshold T": lambda: countermeasure_threshold(0.0, 0.5),
+    "countermeasure_threshold p_half": lambda: countermeasure_threshold(0.35, 1.2),
     "countermeasure_is_effective T": lambda: countermeasure_is_effective(0.9, math.inf, 0.5),
+    "countermeasure_is_effective p_half": lambda: countermeasure_is_effective(0.9, 0.9, 0.0),
     "sweep_table param": lambda: sweep_table(
         "key", [1.0], T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, p=0.276
     ),

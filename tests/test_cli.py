@@ -226,6 +226,19 @@ class TestGenerateScenario:
         rc = run_cli("generate", "--config", gen_config, "--out", out, "--seed", "7", "--force")
         assert rc == EXIT_OK
 
+    def test_a_forced_smaller_run_removes_the_old_flow_files(self, tmp_path, gen_config):
+        out = tmp_path / "out"
+        (out / "flows").mkdir(parents=True)
+        kept = ["flow_0002.txt", "flow_000002.txt", "flow_00002.txt.bak", "notes.txt"]
+        for name in kept:
+            (out / "flows" / name).write_text("user file\n")
+        base = ["generate", "--config", gen_config, "--out", out, "--seed", "7", "--force"]
+        assert run_cli(*base, "--trials", "3") == EXIT_OK
+        assert run_cli(*base, "--trials", "2") == EXIT_OK
+        listed = read_manifest(out / "manifest.txt")
+        assert [p.name for p in listed] == ["flow_00000.txt", "flow_00001.txt"]
+        assert sorted((out / "flows").iterdir()) == sorted(listed + [out / "flows" / n for n in kept])
+
     def test_a_failed_forced_write_leaves_the_old_report(self, tmp_path, gen_config):
         out = tmp_path / "out"
         assert run_cli("generate", "--config", gen_config, "--out", out, "--seed", "7") == EXIT_OK

@@ -23,17 +23,7 @@ from flowmark import (
     read_flow,
     write_flow,
 )
-from flowmark.errors import (
-    BadParameter,
-    BadProbability,
-    FlowmarkError,
-    FlowFileError,
-    InvalidDuration,
-    NegativeWindow,
-    NonGenerativeModel,
-    SearchSpaceTooLarge,
-    WindowTooLong,
-)
+from flowmark.errors import BadParameter, FlowmarkError, FlowFileError, SearchSpaceTooLarge
 from flowmark import flow_model
 from flowmark.flow_model import MAX_FLOW_PACKETS, _canonical_timestamps, draw_width
 
@@ -72,7 +62,7 @@ class TestFlow:
         assert len(flow) == 1
 
     def test_rejects_nonpositive_duration(self):
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(BadParameter, match="duration must be positive"):
             Flow(timestamps=[], duration=0.0)
 
     def test_empty_flow(self):
@@ -177,11 +167,11 @@ class TestGenerateFlow:
         assert a != b
 
     def test_rejects_table_model(self):
-        with pytest.raises(NonGenerativeModel):
+        with pytest.raises(BadParameter, match="cannot generate flows"):
             generate_flow(REFERENCE_CLEAR_TABLE, 10.0, seed=1)
 
     def test_rejects_zero_duration(self):
-        with pytest.raises(InvalidDuration):
+        with pytest.raises(BadParameter, match="duration must be positive"):
             generate_flow(PoissonModel(5.0), 0.0, seed=1)
 
     def test_expected_packet_cap_edge(self):
@@ -190,7 +180,7 @@ class TestGenerateFlow:
         assert draw_width(PoissonModel(1.0), cap) > MAX_FLOW_PACKETS
         assert draw_width(PoissonModel(2.0), cap / 2) > MAX_FLOW_PACKETS
         for rate, duration in [(1.0, math.nextafter(cap, math.inf)), (3.0, 1e300)]:
-            with pytest.raises(InvalidDuration, match="more than the 10000000 one flow"):
+            with pytest.raises(BadParameter, match="more than the 10000000 one flow"):
                 draw_width(PoissonModel(rate), duration)
 
     def test_timestamps_inside_duration(self):
@@ -243,7 +233,7 @@ class TestClearProbability:
         assert not model.lookup(0.3).clamped
 
     def test_rejects_negative_window(self):
-        with pytest.raises(NegativeWindow):
+        with pytest.raises(BadParameter, match="window length must be non-negative"):
             clear_probability(PoissonModel(2.0), -0.1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -305,7 +295,7 @@ class TestEstimateClearProbability:
 
     def test_rejects_window_longer_than_flow(self):
         flow = Flow(timestamps=[0.5], duration=1.0)
-        with pytest.raises(WindowTooLong):
+        with pytest.raises(BadParameter, match="exceeds flow duration"):
             estimate_clear_probability(flow, 2.0, 0.5)
 
     def test_rejects_bad_stride(self):
@@ -354,11 +344,11 @@ class TestRateCalibration:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.5])
     def test_rejects_degenerate_probability(self, p):
-        with pytest.raises(BadProbability):
+        with pytest.raises(BadParameter, match="clear probability must be in"):
             poisson_rate_for_clear_probability(p, 0.45)
 
     def test_rejects_zero_window(self):
-        with pytest.raises(NegativeWindow):
+        with pytest.raises(BadParameter, match="window length must be positive"):
             poisson_rate_for_clear_probability(0.5, 0.0)
 
 
@@ -506,6 +496,7 @@ class TestFlowFiles:
 
 # Every plain-value check of the flow model module, one call each.
 BAD_PARAMETERS = {
+    "Flow duration": lambda: Flow(timestamps=[], duration=0.0),
     "Flow shape": lambda: Flow(timestamps=[[0.5]], duration=1.0),
     "Flow finite": lambda: Flow(timestamps=[math.nan], duration=1.0),
     "Flow tie past the largest float": lambda: Flow(
@@ -513,7 +504,15 @@ BAD_PARAMETERS = {
     ),
     "Flow negative": lambda: Flow(timestamps=[-0.5], duration=1.0),
     "Flow past duration": lambda: Flow(timestamps=[1.5], duration=1.0),
+    "draw_width model": lambda: draw_width(REFERENCE_CLEAR_TABLE, 10.0),
+    "draw_width duration": lambda: draw_width(PoissonModel(5.0), 0.0),
+    "draw_width packets": lambda: draw_width(PoissonModel(3.0), 1e300),
+    "clear_probability window": lambda: clear_probability(PoissonModel(2.0), -0.1),
+    "estimate window": lambda: estimate_clear_probability(Flow([0.5], 2.0), 0.0, 0.5),
+    "estimate window too long": lambda: estimate_clear_probability(Flow([0.5], 1.0), 2.0, 0.5),
     "estimate stride": lambda: estimate_clear_probability(Flow([0.5], 2.0), 0.5, 0.0),
+    "poisson_rate probability": lambda: poisson_rate_for_clear_probability(1.0, 0.45),
+    "poisson_rate window": lambda: poisson_rate_for_clear_probability(0.5, 0.0),
 }
 
 

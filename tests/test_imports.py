@@ -1,10 +1,13 @@
-"""Every name a flowmark module imports is used in it, and the CLI imports light.
+"""Every name a flowmark module imports is used in it, the CLI imports light, and
+every public function and class is documented.
 
 `__init__.py` is exempt from the first check: it imports names to re-export them.
 """
 
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +52,26 @@ def test_importing_the_cli_leaves_numpy_random_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
+def own_docstrings() -> dict[str, bool]:
+    """For each function and class in flowmark.__all__, whether its source gives it a docstring."""
+    found = {}
+    for name in flowmark.__all__:
+        obj = getattr(flowmark, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            tree = ast.parse(inspect.getsource(sys.modules[obj.__module__]))
+            (node,) = [n for n in tree.body if getattr(n, "name", None) == obj.__name__]
+            found[name] = ast.get_docstring(node) is not None
+    return found
+
+
+def test_every_public_function_and_class_has_a_docstring():
+    assert [name for name, has_doc in own_docstrings().items() if not has_doc] == []
+
+
+def test_readme_entry_points_are_public():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", paragraph)
+    assert names and [name for name in names if name not in flowmark.__all__] == []

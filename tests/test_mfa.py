@@ -28,13 +28,7 @@ from flowmark import (
 )
 from flowmark import analysis
 from flowmark.analysis import ceil_snapped
-from flowmark.errors import (
-    BadDelta,
-    BadParameter,
-    FlowmarkError,
-    NegativeWindow,
-    SearchSpaceTooLarge,
-)
+from flowmark.errors import BadParameter, FlowmarkError, SearchSpaceTooLarge
 from flowmark.mfa import _BATCH_EDGES, _offset_grid, _window_lists, attack, attack_plan
 from flowmark.repro import monte_carlo_attack
 
@@ -130,7 +124,7 @@ class TestAttackConfig:
         assert REFERENCE_CFG.min_length == pytest.approx(0.45, rel=1e-12)
 
     def test_rejects_delta_above_interval(self):
-        with pytest.raises(BadDelta):
+        with pytest.raises(BadParameter, match="delta must be in"):
             AttackConfig(T=0.9, delta=1.0, o_max=0.9, epsilon=1e-5)
 
     def test_rejects_coarse_quantum(self):
@@ -145,9 +139,11 @@ class TestAttackConfig:
 # Every plain-value check of mfa and the Monte Carlo driver, one call each.
 BAD_PARAMETERS = {
     "T": lambda: AttackConfig(T=0.0, delta=0.45, o_max=0.9, epsilon=1e-5),
+    "delta": lambda: AttackConfig(T=0.9, delta=1.0, o_max=0.9, epsilon=1e-5),
     "o_max": lambda: AttackConfig(T=0.9, delta=0.45, o_max=-0.1, epsilon=1e-5),
     "epsilon": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1.0),
     "quantum": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, quantum=0.2),
+    "find_clear_windows min_length": lambda: find_clear_windows(Flow([1.0], 2.0), 0.0, 0.1),
     "find_clear_windows quantum": lambda: find_clear_windows(Flow([1.0], 2.0), 0.5, math.nan),
     "method": lambda: attack_plan("greedy", REFERENCE_CFG, 2),
     "k": lambda: attack_plan("bnb", REFERENCE_CFG, 0),
@@ -189,7 +185,7 @@ class TestFindClearWindows:
 
     def test_rejects_nonpositive_min_length(self):
         flow = Flow(timestamps=[1.0], duration=2.0)
-        with pytest.raises(NegativeWindow):
+        with pytest.raises(BadParameter, match="min_length must be positive"):
             find_clear_windows(flow, 0.0, 0.1)
 
     def test_rejects_nonpositive_quantum(self):

@@ -1,9 +1,8 @@
-"""Pattern derivation, embedding, detection, and detector false positives."""
+"""Pattern derivation, embedding, detection, and the Wilson interval."""
 
 import math
 import random
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,22 +19,12 @@ from flowmark import (
     derive_seed,
     detect,
     embed,
-    false_positive_rate,
     generate_flow,
     offset_candidates,
-    poisson_rate_for_clear_probability,
     wilson_interval,
 )
-from flowmark.errors import (
-    BadDelta,
-    BadFraction,
-    BadParameter,
-    FlowmarkError,
-    FlowTooShort,
-    NonGenerativeModel,
-    SearchSpaceTooLarge,
-)
-from flowmark import analysis, watermark
+from flowmark.errors import BadParameter, FlowmarkError, FlowTooShort, SearchSpaceTooLarge
+from flowmark import analysis
 
 # Keys found by scanning upward from zero for specific small patterns;
 # frozen so the golden embeddings below stay readable.
@@ -74,7 +63,7 @@ class TestDerivePattern:
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_degenerate_fraction(self, fraction):
-        with pytest.raises(BadFraction):
+        with pytest.raises(BadParameter, match="clear_fraction must be in"):
             derive_pattern(7, 10, fraction)
 
     def test_rejects_bad_key(self):
@@ -290,7 +279,7 @@ class TestOffsetCandidates:
         assert cands == [0.0, 0.45, 0.9, 1.0]
 
     def test_rejects_bad_delta(self):
-        with pytest.raises(BadDelta):
+        with pytest.raises(BadParameter, match="delta must be positive"):
             offset_candidates(0.9, 0.0)
 
     def test_candidate_count_cap(self, monkeypatch):
@@ -424,73 +413,6 @@ class TestWilsonInterval:
         assert lo < 7 / 40 < hi
 
 
-class TestFalsePositiveRate:
-    def test_requires_enough_trials(self):
-        params = small_params(KEY_CLEARS_SECOND_OF_TWO)
-        with pytest.raises(ValueError):
-            false_positive_rate(PoissonModel(3.0), params, trials=50, seed=1)
-
-    def test_requires_generative_model(self):
-        from flowmark import REFERENCE_CLEAR_TABLE
-
-        params = small_params(KEY_CLEARS_SECOND_OF_TWO)
-        with pytest.raises(NonGenerativeModel):
-            false_positive_rate(REFERENCE_CLEAR_TABLE, params, trials=200, seed=1)
-
-    def test_matches_analytic_single_candidate_rate(self):
-        """With one candidate and one cleared interval the false-positive
-        probability is exactly the chance that a fixed window of length
-        T - delta is packet-free."""
-        T = 0.35
-        delta = T / 50
-        lam = poisson_rate_for_clear_probability(0.45, T)
-        params = WatermarkParams(
-            T=T, o=0.0, o_max=0.0, delta=delta, n=2,
-            key=KEY_CLEARS_SECOND_OF_TWO, clear_fraction=0.5,
-        )
-        rate, half = false_positive_rate(PoissonModel(lam), params, trials=3000, seed=77)
-        oracle = math.exp(-lam * (T - delta))
-        assert abs(rate - oracle) <= half
-
-    @pytest.mark.parametrize("block_gaps", [16, 100, 1 << 16])
-    def test_blocks_match_one_flow_per_trial(self, block_gaps):
-        T = 0.35
-        model = PoissonModel(poisson_rate_for_clear_probability(0.45, T))
-        params = WatermarkParams(
-            T=T, o=0.0, o_max=0.35, delta=T / 50, n=2,
-            key=KEY_CLEARS_SECOND_OF_TWO, clear_fraction=0.5,
-        )
-        duration = params.o_max + params.n * params.T
-        expected = [generate_flow(model, duration, derive_seed(9, "fpr-trial", t)) for t in range(150)]
-        seen = []
-
-        def recording_detect(flow, params):
-            seen.append(flow)
-            return detect(flow, params)
-
-        # 1, 4 or all 150 trials a block.
-        with mock.patch.object(watermark, "_BLOCK_GAPS", block_gaps), mock.patch.object(
-            watermark, "detect", recording_detect
-        ):
-            rate, half = false_positive_rate(model, params, trials=150, seed=9)
-        assert seen == expected
-        hits = sum(detect(flow, params).detected for flow in expected)
-        lo, hi = wilson_interval(hits, 150)
-        assert (rate, half) == (hits / 150, (hi - lo) / 2.0)
-
-    def test_more_candidates_raise_false_positive_rate(self):
-        T = 0.35
-        lam = poisson_rate_for_clear_probability(0.45, T)
-        single = WatermarkParams(
-            T=T, o=0.0, o_max=0.0, delta=T / 50, n=2,
-            key=KEY_CLEARS_SECOND_OF_TWO, clear_fraction=0.5,
-        )
-        multi = replace(single, o_max=0.35)
-        r_single, _ = false_positive_rate(PoissonModel(lam), single, trials=2000, seed=11)
-        r_multi, _ = false_positive_rate(PoissonModel(lam), multi, trials=2000, seed=11)
-        assert r_single < r_multi
-
-
 def reference_params(**changes) -> WatermarkParams:
     values = dict(T=0.9, o=0.45, o_max=0.9, delta=0.45, n=20, key=987654321, clear_fraction=0.5)
     return WatermarkParams(**(values | changes))
@@ -501,17 +423,18 @@ BAD_PARAMETERS = {
     "params T": lambda: reference_params(T=0.0),
     "params o_max": lambda: reference_params(o=0.0, o_max=-0.1),
     "params o": lambda: reference_params(o=1.0),
+    "params delta": lambda: reference_params(delta=1.0),
     "params n": lambda: reference_params(n=0),
+    "params clear_fraction": lambda: reference_params(clear_fraction=1.0),
     "pattern n": lambda: ClearPattern(n=0, cleared={0}),
     "pattern empty": lambda: ClearPattern(n=2, cleared=set()),
     "pattern index": lambda: ClearPattern(n=2, cleared={2}),
     "derive_pattern n": lambda: derive_pattern(1, 0, 0.5),
+    "derive_pattern clear_fraction": lambda: derive_pattern(1, 2, 0.0),
+    "offset_candidates delta": lambda: offset_candidates(0.9, 0.0),
     "offset_candidates o_max": lambda: offset_candidates(-0.1, 0.45),
     "wilson trials": lambda: wilson_interval(0, 0),
     "wilson successes": lambda: wilson_interval(3, 2),
-    "false_positive_rate trials": lambda: false_positive_rate(
-        PoissonModel(3.0), reference_params(), 99, 0
-    ),
 }
 
 
