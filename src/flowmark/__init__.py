@@ -25,8 +25,6 @@ from .flow_model import (
 from .mfa import (
     AttackConfig,
     AttackFinding,
-    ClearWindow,
-    find_clear_windows,
     mfa_fixed_offset,
     mfa_varied_offset_bnb,
     mfa_varied_offset_exhaustive,
@@ -53,7 +51,6 @@ __all__ = [
     "AttackConfig",
     "AttackFinding",
     "ClearPattern",
-    "ClearWindow",
     "DetectionResult",
     "EmpiricalModel",
     "FeasibilityVerdict",
@@ -74,7 +71,6 @@ __all__ = [
     "embed",
     "errors",
     "estimate_clear_probability",
-    "find_clear_windows",
     "fp_bound",
     "generate_flow",
     "load_config",

@@ -243,9 +243,6 @@ class FlowBlock(NamedTuple):
     counts: np.ndarray
     durations: np.ndarray
 
-    def flow(self, r: int) -> Flow:
-        return Flow(timestamps=self.arrivals[r, : self.counts[r]], duration=self.durations[r].item())
-
 
 def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> FlowBlock:
     """One flow per seed, each bit-identical to generate_flow(model, duration, seed).

@@ -4,11 +4,12 @@ If several flows carry the same interval watermark, their cleared intervals
 line up once each flow's unknown offset is guessed.  The attack therefore
 searches, over per-flow offset guesses from a step-delta grid, for a window
 of length at least T - delta that is packet-free in every flow.  Windows are
-snapped inward to a small time quantum, in one vectorised numpy pass per
-batch of flows covering every offset shift, so the grid search can only
-shrink what is really clear and never reports a window containing a packet.
-The Monte Carlo driver needs only verdicts: block_verdicts decides a whole
-block of trials at once, with the search's answer but none of its windows.
+snapped inward to a small time quantum, in one vectorised numpy pass over
+all flows covering every offset shift, so the grid search can only shrink
+what is really clear and never reports a window containing a packet.  The
+Monte Carlo driver needs only verdicts: block_verdicts decides a whole block
+of trials at once from the same grid windows, with the search's answer but
+none of its windows.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ class AttackConfig:
 
 
 @dataclass(frozen=True)
-class ClearWindow:
-    """A packet-free open window (start, start + length) of one flow."""
-
-    start: float
-    length: float
-    flow_index: int
-
-
-@dataclass(frozen=True)
 class AttackFinding:
     """Outcome of one attack run.
 
@@ -86,10 +78,6 @@ class AttackFinding:
     offset_assignment: Optional[tuple[float, ...]]
     configurations_searched: int
     fp_bound_at_k: float
-
-
-# Gap edges per snapping batch: caps the (shifts x edges) work arrays.
-_BATCH_EDGES = 4096
 
 
 def _span(top: float, shifts: np.ndarray, quantum: float) -> float:
@@ -110,7 +98,7 @@ def _snap(
     The guard loops re-check the final float expressions the soundness audit
     uses, so a unit of rounding noise can only shrink a window further.  A
     gap that runs backwards snaps to nothing.  keep marks windows at least
-    min_units long.  Callers check the flows' _span first.
+    min_units long.  The flows' _span is checked before any snapping.
     """
     sh = shifts[:, None]
     lo = np.ceil((s - sh) / quantum).astype(np.int64)
@@ -122,43 +110,23 @@ def _snap(
     return lo, hi, (hi > lo) & (hi - lo >= min_units)
 
 
-def _snapped_windows(
-    flows: Sequence[Flow], shifts: Sequence[float], quantum: float, min_units: int
-) -> list[list[list[tuple[int, int]]]]:
-    """windows[flow_index][shift_index]: (lo, hi) grid indices sorted by lo.
+def _grid_windows(
+    edges: np.ndarray, span: float, cfg: AttackConfig, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The grid windows of the gaps between consecutive edges, at every shift.
 
-    Flows are snapped in batches of at most _BATCH_EDGES edges (a longer
-    flow is a batch of its own), one numpy pass per batch.
+    edges holds, per flow, 0, its timestamps and its duration; the gap from
+    one flow's duration to the next flow's 0 runs backwards: it gives none.
+    span is the flows' _span, which the caller has checked.
+    Only gaps max(m, 1) quanta long (m = _min_units(cfg)), less a rounding
+    slack, are snapped: snapping only shrinks a gap and a shift keeps its
+    length, so a shorter gap never gives a kept window.  Returns the index
+    in edges of each snapped gap's start, then _snap's lo, hi and keep.
     """
-    sizes = [len(flow) + 2 for flow in flows]
-    shift_arr = np.asarray(shifts, dtype=float)
-    _span(max(flow.duration for flow in flows), shift_arr, quantum)
-
-    def batch(a: int, b: int) -> list[list[list[tuple[int, int]]]]:
-        edges = np.zeros(sum(sizes[a:b]))  # per flow: 0, its timestamps, its duration
-        starts = [0, *itertools.accumulate(sizes[a:b])]
-        for flow, end in zip(flows[a:b], starts[1:]):
-            edges[end - len(flow) - 1 : end - 1] = flow.timestamps
-            edges[end - 1] = flow.duration
-        lo, hi, keep = _snap(edges[:-1], edges[1:], shift_arr, quantum, min_units)
-        # Flat indices run shift-major, then by gap, so each (shift, flow) is one run.
-        nf, gaps = b - a, edges.size - 1
-        bounds = [j * gaps + c for j in range(len(shifts)) for c in starts[:-1]] + [keep.size]
-        cuts = np.searchsorted(np.flatnonzero(keep), bounds).tolist()
-        pairs = list(zip(lo[keep].tolist(), hi[keep].tolist()))
-        return [
-            [pairs[cuts[j * nf + f] : cuts[j * nf + f + 1]] for j in range(len(shifts))]
-            for f in range(nf)
-        ]
-
-    out: list[list[list[tuple[int, int]]]] = []
-    first = size = 0
-    for i, n in enumerate(sizes):
-        if i > first and size + n > _BATCH_EDGES:
-            out += batch(first, i)
-            first, size = i, 0
-        size += n
-    return out + batch(first, len(sizes))
+    m = _min_units(cfg)
+    # Rounding moves a snapped end by far less than 1e-12 of the largest magnitude.
+    gap = np.flatnonzero(edges[1:] - edges[:-1] >= max(m, 1) * cfg.quantum - 1e-12 * span)
+    return (gap, *_snap(edges[gap], edges[gap + 1], shifts, cfg.quantum, m))
 
 
 def block_verdicts(
@@ -168,10 +136,8 @@ def block_verdicts(
 
     Flows k*t to k*t + k - 1 of the block make up trial t.  A trial is present
     iff some grid start x has [x, x + m] inside one window of every flow, at
-    some shift of that flow (m = _min_units(cfg)).  Only gaps max(m, 1) quanta
-    long, less a rounding slack, are snapped: snapping only shrinks a gap and
-    a shift keeps its length, so a shorter gap never gives a kept window.  A
-    kept window (lo, hi) holds the starts [lo, hi - m + 1).  One sorted sweep
+    some shift of that flow (m = _min_units(cfg)).  A window (lo, hi) kept by
+    _grid_windows holds the starts [lo, hi - m + 1).  One sorted sweep
     of +1/-1 events merges each flow's starts over all shifts into disjoint
     pieces, where its depth leaves and returns to 0; a second sweep over the
     pieces of each trial finds where k flows cover a start.  Events sort by
@@ -187,11 +153,8 @@ def block_verdicts(
     edges[:, 0] = 0.0
     np.minimum(block.arrivals, block.durations[:, None], out=edges[:, 1:-1])
     edges[:, -1] = block.durations
-    edges = edges.ravel()
+    gap, lo, hi, keep = _grid_windows(edges.ravel(), span, cfg, shifts)
     m = _min_units(cfg)
-    # Rounding moves a snapped end by far less than 1e-12 of the largest magnitude.
-    gap = np.flatnonzero(edges[1:] - edges[:-1] >= max(m, 1) * cfg.quantum - 1e-12 * span)
-    lo, hi, keep = _snap(edges[gap], edges[gap + 1], shifts, cfg.quantum, m)
     flow = np.broadcast_to(gap // (width + 2), keep.shape)[keep]
     coords = np.concatenate((lo[keep], hi[keep] - (m - 1)))
     base = int(coords.min(initial=0))
@@ -229,24 +192,6 @@ def _intersect(windows_a: list, windows_b: list, min_units: int) -> list:
     return out
 
 
-def find_clear_windows(flow: Flow, min_length: float, quantum: float) -> list[ClearWindow]:
-    """Clear windows of the flow at least min_length long, snapped inward.
-
-    Windows are open intervals: a packet exactly at a reported boundary is
-    outside.  Results are sorted by start.
-    """
-    if min_length <= 0 or not math.isfinite(min_length):
-        raise BadParameter(f"min_length must be positive, got {min_length}")
-    if quantum <= 0 or not math.isfinite(quantum):
-        raise BadParameter(f"quantum must be positive, got {quantum}")
-    min_units = ceil_snapped(min_length / quantum)
-    (grid,) = _snapped_windows([flow], [0.0], quantum, min_units)[0]
-    return [
-        ClearWindow(start=lo * quantum, length=(hi - lo) * quantum, flow_index=0)
-        for lo, hi in grid
-    ]
-
-
 def _mean_clear_probability(
     flows: Sequence[Flow], cfg: AttackConfig, names: Optional[Sequence[object]] = None
 ) -> float:
@@ -279,8 +224,20 @@ def _min_units(cfg: AttackConfig) -> int:
 def _window_lists(
     flows: Sequence[Flow], cfg: AttackConfig, shifts: Sequence[float]
 ) -> list[list[list[tuple[int, int]]]]:
-    """windows[flow_index][shift_index], each sorted by window start."""
-    return _snapped_windows(flows, shifts, cfg.quantum, _min_units(cfg))
+    """windows[flow_index][shift_index]: (lo, hi) grid indices sorted by lo."""
+    shifts = np.asarray(shifts, dtype=float)
+    span = _span(max(f.duration for f in flows), shifts, cfg.quantum)
+    edges = np.concatenate([e for f in flows for e in ([0.0], f.timestamps, [f.duration])])
+    gap, lo, hi, keep = _grid_windows(edges, span, cfg, shifts)
+    flow = np.searchsorted(np.cumsum([len(f) + 2 for f in flows]), gap, side="right")
+    # Kept windows run shift-major, then by gap: a stable sort makes them flow-major.
+    n = len(shifts)
+    run = (flow * n + np.arange(n)[:, None])[keep]
+    order = np.argsort(run, kind="stable")
+    cuts = np.searchsorted(run[order], np.arange(len(flows) * n + 1)).tolist()
+    pairs = list(zip(lo[keep][order].tolist(), hi[keep][order].tolist()))
+    runs = [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
+    return [runs[i : i + n] for i in range(0, len(runs), n)]
 
 
 # A list search's outcome: configurations searched, then the first common

@@ -15,7 +15,6 @@ from flowmark import (
     Flow,
     PoissonModel,
     derive_seed,
-    find_clear_windows,
     fp_bound,
     generate_flow,
     mfa_fixed_offset,
@@ -29,7 +28,7 @@ from flowmark import (
 from flowmark import analysis
 from flowmark.analysis import ceil_snapped
 from flowmark.errors import BadParameter, FlowmarkError, SearchSpaceTooLarge
-from flowmark.mfa import _BATCH_EDGES, _offset_grid, _window_lists, attack, attack_plan
+from flowmark.mfa import _offset_grid, _window_lists, attack, attack_plan
 from flowmark.repro import monte_carlo_attack
 
 REFERENCE_CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
@@ -69,6 +68,13 @@ def reference_grid_windows(flow: Flow, shift: float, quantum: float, min_units: 
         if q is not None and q[1] - q[0] >= min_units:
             out.append(q)
     return out
+
+
+def window_cfg(min_length: float, quantum: float) -> AttackConfig:
+    """A config whose windows at offset 0 are at least min_length long."""
+    return AttackConfig(
+        T=2 * min_length, delta=min_length, o_max=0.0, epsilon=1e-3, quantum=quantum
+    )
 
 
 def reference_window_lists(flows, cfg, shifts):
@@ -143,8 +149,6 @@ BAD_PARAMETERS = {
     "o_max": lambda: AttackConfig(T=0.9, delta=0.45, o_max=-0.1, epsilon=1e-5),
     "epsilon": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1.0),
     "quantum": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, quantum=0.2),
-    "find_clear_windows min_length": lambda: find_clear_windows(Flow([1.0], 2.0), 0.0, 0.1),
-    "find_clear_windows quantum": lambda: find_clear_windows(Flow([1.0], 2.0), 0.5, math.nan),
     "method": lambda: attack_plan("greedy", REFERENCE_CFG, 2),
     "k": lambda: attack_plan("bnb", REFERENCE_CFG, 0),
     "trials": lambda: monte_carlo_attack(
@@ -160,65 +164,56 @@ def test_bad_parameter_is_a_toolkit_error(site):
     assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)
 
 
-class TestFindClearWindows:
+class TestWindowsOfOneFlow:
     def test_two_packet_example(self):
         flow = Flow(timestamps=[1.0, 5.0], duration=6.0)
-        (window,) = find_clear_windows(flow, 2.0, 0.25)
-        assert (window.start, window.length) == (1.0, 4.0)
-        assert window.flow_index == 0
+        (windows,) = _window_lists([flow], window_cfg(2.0, 0.25), [0.0])[0]
+        assert [(lo * 0.25, (hi - lo) * 0.25) for lo, hi in windows] == [(1.0, 4.0)]
 
     def test_empty_flow_is_one_big_window(self):
         flow = Flow(timestamps=[], duration=3.0)
-        (window,) = find_clear_windows(flow, 1.0, 0.25)
-        assert (window.start, window.length) == (0.0, 3.0)
+        (windows,) = _window_lists([flow], window_cfg(1.0, 0.25), [0.0])[0]
+        assert [(lo * 0.25, (hi - lo) * 0.25) for lo, hi in windows] == [(0.0, 3.0)]
 
     def test_no_window_in_dense_flow(self):
         flow = Flow(timestamps=np.arange(0.1, 3.0, 0.1), duration=3.0)
-        assert find_clear_windows(flow, 0.45, 0.05) == []
+        assert _window_lists([flow], window_cfg(0.45, 0.05), [0.0]) == [[[]]]
 
     def test_windows_sorted_by_start(self):
         flow = Flow(timestamps=[1.0, 1.1, 3.0, 3.05], duration=6.0)
-        windows = find_clear_windows(flow, 0.5, 0.1)
-        starts = [w.start for w in windows]
+        (windows,) = _window_lists([flow], window_cfg(0.5, 0.1), [0.0])[0]
+        starts = [lo for lo, _ in windows]
         assert starts == sorted(starts)
         assert len(windows) == 3
-
-    def test_rejects_nonpositive_min_length(self):
-        flow = Flow(timestamps=[1.0], duration=2.0)
-        with pytest.raises(BadParameter, match="min_length must be positive"):
-            find_clear_windows(flow, 0.0, 0.1)
-
-    def test_rejects_nonpositive_quantum(self):
-        flow = Flow(timestamps=[1.0], duration=2.0)
-        with pytest.raises(ValueError):
-            find_clear_windows(flow, 0.5, 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_windows_are_conservative(self, seed):
         """Every reported window is packet-free and sits inside a raw gap."""
         flow = generate_flow(PoissonModel(4.0), 8.0, seed=700 + seed)
         quantum = 0.45 / 8
-        for w in find_clear_windows(flow, 0.45, quantum):
+        (windows,) = _window_lists([flow], window_cfg(0.45, quantum), [0.0])[0]
+        for lo, hi in windows:
+            start, length = lo * quantum, (hi - lo) * quantum
             inside = np.count_nonzero(
-                (flow.timestamps > w.start) & (flow.timestamps < w.start + w.length)
+                (flow.timestamps > start) & (flow.timestamps < start + length)
             )
             assert inside == 0
             assert any(
-                s - 1e-9 <= w.start and w.start + w.length <= e + 1e-9
+                s - 1e-9 <= start and start + length <= e + 1e-9
                 for s, e in raw_gaps(flow)
             )
-            assert w.length >= 0.45 - 1e-9
+            assert length >= 0.45 - 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_no_qualifying_gap_is_missed_badly(self, seed):
         """Any raw gap longer than min_length + 2 quanta must be reported."""
         flow = generate_flow(PoissonModel(4.0), 8.0, seed=800 + seed)
         quantum = 0.45 / 8
-        windows = find_clear_windows(flow, 0.45, quantum)
+        (windows,) = _window_lists([flow], window_cfg(0.45, quantum), [0.0])[0]
         for s, e in raw_gaps(flow):
             if e - s >= 0.45 + 2 * quantum:
                 assert any(
-                    s - quantum <= w.start <= s + quantum + 1e-9 for w in windows
+                    s - quantum <= lo * quantum <= s + quantum + 1e-9 for lo, _ in windows
                 ), (s, e)
 
 
@@ -236,21 +231,18 @@ class TestGridWindowsMatchScalarReference:
     def test_no_packet_inside_a_reported_window(self, instance):
         cfg, _, flows = instance
         q = cfg.quantum
-        min_length = cfg.min_length or q  # delta == T leaves no minimum
         for flow in flows:
-            for w in find_clear_windows(flow, min_length, q):
+            (windows,) = _window_lists([flow], cfg, [0.0])[0]
+            for lo, hi in windows:
                 # The window ends at grid index hi, as the snapping guard checks
-                # it; start + length can land one ulp past a packet at hi * q.
-                end = (round(w.start / q) + round(w.length / q)) * q
+                # it; lo * q + (hi - lo) * q can land one ulp past a packet at hi * q.
                 ts = flow.timestamps
-                assert not np.any((ts > w.start) & (ts < end))
+                assert not np.any((ts > lo * q) & (ts < hi * q))
 
-    def test_batches_past_the_edge_cap_match_reference(self):
+    def test_long_flows_match_reference(self):
         flows = [generate_flow(PoissonModel(60.0), 90.9, seed=1)] + [
             generate_flow(PoissonModel(20.0), 90.9, seed=seed) for seed in (2, 3, 4)
         ]
-        assert len(flows[0]) + 2 > _BATCH_EDGES
-        assert sum(len(f) + 2 for f in flows[1:]) > _BATCH_EDGES
         shifts = _offset_grid(REFERENCE_CFG)
         assert _window_lists(flows, REFERENCE_CFG, shifts) == reference_window_lists(
             flows, REFERENCE_CFG, shifts
@@ -259,7 +251,7 @@ class TestGridWindowsMatchScalarReference:
     def test_grid_too_fine_for_the_flow_is_an_error(self):
         flow = Flow(timestamps=[1.0], duration=1e18)
         with pytest.raises(SearchSpaceTooLarge):
-            find_clear_windows(flow, 0.5, 0.1)
+            _window_lists([flow], window_cfg(0.5, 0.1), [0.0])
 
 
 class TestFixedOffset:
@@ -282,9 +274,10 @@ class TestFixedOffset:
     def test_single_flow_reduces_to_window_search(self):
         flow = carved_flow(0.0)
         finding = mfa_fixed_offset([flow], REFERENCE_CFG, clear_prob=0.276)
-        windows = find_clear_windows(flow, REFERENCE_CFG.min_length, REFERENCE_CFG.quantum)
+        (windows,) = _window_lists([flow], REFERENCE_CFG, [0.0])[0]
+        (lo, hi), q = windows[0], REFERENCE_CFG.quantum
         assert finding.present
-        assert finding.matched_window == (windows[0].start, windows[0].length)
+        assert finding.matched_window == (lo * q, (hi - lo) * q)
 
     def test_estimated_clear_probability_feeds_the_bound(self):
         flows = [generate_flow(PoissonModel(3.0), 10.0, seed=900 + i) for i in range(4)]

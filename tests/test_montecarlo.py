@@ -33,7 +33,6 @@ from flowmark import (
 from flowmark import flow_model, repro
 from flowmark.flow_model import FlowBlock, draw_width, generate_block
 from flowmark.mfa import (
-    _BATCH_EDGES,
     EXHAUSTIVE_CAP,
     _bnb,
     _min_units,
@@ -173,8 +172,11 @@ def same_flow(a: Flow, b: Flow) -> bool:
     return same_duration and a.timestamps.tobytes() == b.timestamps.tobytes()
 
 
-def block_rows(block) -> list[Flow]:
-    return [block.flow(r) for r in range(len(block.counts))]
+def block_rows(block: FlowBlock) -> list[Flow]:
+    return [
+        Flow(timestamps=arrivals[:count], duration=duration)
+        for arrivals, count, duration in zip(block.arrivals, block.counts, block.durations.tolist())
+    ]
 
 
 class TestGenerationMatchesScalarLoop:
@@ -301,10 +303,9 @@ class TestBlockVerdictsMatchListSearches:
         assert block_verdicts(longer, CFG, [0.0], 2).tolist() == [True]
 
     @pytest.mark.parametrize("duration, count", [(0.9, 1200), (15.3, 130)])
-    def test_blocks_past_the_edge_cap(self, duration, count):
+    def test_large_blocks_match_list_searches(self, duration, count):
         seeds = [derive_seed(3, "cap", i) for i in range(count)]
         block = generate_block(MODEL, duration, seeds)
-        assert int(block.counts.sum()) + 2 * count > _BATCH_EDGES
         flows = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
         shifts = _offset_grid(CFG)
         for k in (1, 5, 10):
@@ -347,8 +348,7 @@ class TestBlockVerdictEdges:
 
     def verdicts(self, block: FlowBlock, shifts, k: int) -> list[bool]:
         got = block_verdicts(block, CFG, shifts, k).tolist()
-        rows = [block.flow(r) for r in range(len(block.counts))]
-        assert got == list_verdicts(rows, CFG, shifts, k)
+        assert got == list_verdicts(block_rows(block), CFG, shifts, k)
         return got
 
     def test_min_units(self):
