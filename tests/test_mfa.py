@@ -149,6 +149,10 @@ BAD_PARAMETERS = {
     "o_max": lambda: AttackConfig(T=0.9, delta=0.45, o_max=-0.1, epsilon=1e-5),
     "epsilon": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1.0),
     "quantum": lambda: AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, quantum=0.2),
+    "quantum nan": lambda: AttackConfig(
+        T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, quantum=math.nan
+    ),
+    "delta nan": lambda: AttackConfig(T=0.9, delta=math.nan, o_max=0.9, epsilon=1e-5),
     "method": lambda: attack_plan("greedy", REFERENCE_CFG, 2),
     "k": lambda: attack_plan("bnb", REFERENCE_CFG, 0),
     "trials": lambda: monte_carlo_attack(
@@ -185,6 +189,19 @@ class TestWindowsOfOneFlow:
         starts = [lo for lo, _ in windows]
         assert starts == sorted(starts)
         assert len(windows) == 3
+
+    def test_zero_min_length_still_needs_one_quantum(self):
+        """With delta == T a window has no minimum, but the gap filter keeps one quantum."""
+        flow = Flow(timestamps=[1.0, 1.1, 2.0], duration=3.0)
+        cfg = AttackConfig(T=1.0, delta=1.0, o_max=0.0, epsilon=1e-3, quantum=0.25)
+        assert cfg.min_length == 0.0
+        (windows,) = _window_lists([flow], cfg, [0.0])[0]
+        assert windows == [(0, 4), (5, 8), (8, 12)]
+        assert windows == reference_grid_windows(flow, 0.0, 0.25, 1)
+
+    def test_rejects_nonpositive_quantum(self):
+        with pytest.raises(BadParameter, match="quantum must be in"):
+            window_cfg(0.5, 0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_windows_are_conservative(self, seed):
