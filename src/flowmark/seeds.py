@@ -10,10 +10,17 @@ seeded_generators runs default_rng's SeedSequence mixing for many seeds in
 one numpy pass and hands each seed's words to PCG64; at first use it checks
 itself against default_rng and, if numpy's seeding differs, falls back to
 default_rng for the rest of the process.
+
+block_exponentials goes on from those words to the first standard
+exponentials of every seed at once: PCG64's state after j steps is linear in
+its seed words, and most draws take the exponential ziggurat's fast path,
+which reads one output.  It marks the draws it is sure of and, if its own
+first-use check against default_rng fails, marks none.
 """
 
 from __future__ import annotations
 
+import binascii
 import functools
 import hashlib
 import struct
@@ -220,3 +227,142 @@ def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     if len(checked) < _BLOCK_MIN or not _block_seeding_matches():
         return map(np.random.default_rng, checked)
     return _block_generators(checked)
+
+
+# numpy's PCG64 (pcg64.h) steps a 128-bit LCG, then outputs the state's XSL-RR.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U64, _U128 = (1 << 64) - 1, (1 << 128) - 1
+
+# numpy's we_double, the 256 layer widths of its exponential ziggurat over
+# 2**53, as little-endian doubles.  The tests derive them from the ziggurat
+# recurrence, which takes longer at first use than decoding them.
+_ZIGGURAT_WE = (
+    "wV2/lOxk0TwZQV2LnVhgPCtNW0my1mo8uo1bqTWTcTxzKkrl5iJ1PIB6wvuQUHg8zLd579E4ezyYvW23"
+    "2Ox9PDxcxknwO4A8cPbWJNtwgTwzJtqQApiCPMpuPf6Is4M8If4LxhXFhDzDSgKd+M2FPL0rp/BAz4Y8"
+    "GdAX2s3JhzxvYNNUWb6IPNI3IlWArYk8A1JdvsiXijzEo93dpX2LPIk/jNd7X4w8NnzxTaI9jTxac/F4"
+    "ZhiOPKpPX88M8I48CTJoXdLEjzxYdWrtdkuQPPyAm0dIs5A8r/VJh/MZkTyg30vrjH+RPOdJPukm5JE8"
+    "Lv84ZdJHkjwLaCPhnqqSPEvaJqWaDJM8AoJt4tJtkzygYiHRU86TPEhncMooLpQ8Euc1X1yNlDyTC81r"
+    "+OuUPE1veCkGSpU8/b64PY6nlTzPLt3HmASWPOBoDG0tYZY8RKn6YlO9ljy7kHl5ERmXPHN5ByNudJc8"
+    "coF+fG/PlzyZ1f5TGyqYPOzhKy93hJg8KsXQUIjemDxEov29UziZPDgTrULekZk8vwP/dSzrmTxKiBS+"
+    "QkSaPGHSllMlnZo8ySTyRNj1mjybl0x5X06bPImPP7O+pps8mf5Zk/n+mzyf0nCaE1ecPNtawisQr5w8"
+    "++bwjvIGnTyNa9jxvV6dPFeQQmp1tp08/jF89xsOnjxEEM+DtGWePGIb4uVBvZ48n5QC4sYUnzy1/lcr"
+    "RmyfPKGpBGXCw5882TyaEZ8NoDxisQ32XTmgPPh2chwfZaA8cgBLu+OQoDw3AXEDrbygPGYveiB86KA8"
+    "FawXOVIUoTy+fXBvMEChPPt/d+EXbKE8liM9qQmYoTyDUj3dBsShPOLEqZAQ8KE8BQ6x0yccojwpo8Kz"
+    "TUiiPJ8Y0DuDdKI8qs2LdMmgojxdO6VkIc2iPCEXAxGM+aI8EXb7fAomozyhG4qqnVKjPPAahZpGf6M8"
+    "/O/PTAasozxtM43A3dijPMQJT/TNBaQ80GxG5tcypDynbHGU/F+kPMSDyPw8jaQ8pBhrHZq6pDzqRcv0"
+    "FOikPPsA2YGuFaU8+LUsxGdDpTwnbzG8QXGlPPmcTms9n6U8NZMR1FvNpTwmz1b6nfulPC4ac+MEKqY8"
+    "jJtclpFYpjzu69MbRYemPN88jX4gtqY8CKZZyyTlpjz7qVARUxSnPBwE+mGsQ6c8MNF30TFzpzwKJLF2"
+    "5KKnPPcXfWvF0qc8d3LOzNUCqDwq5t+6FjOoPOcIYVmJY6g8VA+kzy6UqDyUYMxICMWoPBMV/vMW9qg8"
+    "4XOOBFwnqTyKgjWy2FipPPS7QDmOiqk8XQPH2n28qTxR6d3cqO6pPC1Z0IoQIao8kMZWNbZTqjwP89Ay"
+    "m4aqPHplgd/Auao8/6zKnSjtqjy1i27W0yCrPEIlz/jDVKs8tk8ye/qIqzwQJgfbeL2rPIX9LZ1A8qs8"
+    "LeBCTlMnrDykseqCslysPPsjI9hfkqw8bKWV81zIrDyAce2Dq/6sPK3yMEFNNa08/qMe7UNsrTwKpY1T"
+    "kaOtPH810ko32608m1AmtDcTrjxSpBZ8lEuuPH8j9JpPhK48eHZKFWu9rjxokVv86PauPH+8oG7LMK88"
+    "0F5RmBRrrzzl4e+zxqWvPNgJ3Qrk4K881BH5ejcOsDwbORHvNCywPKMkkp5rSrA82yYRz9xosDwPrTrP"
+    "iYewPBnIM/dzprA8b5QAqZzFsDy3z+9QBeWwPM7vC2avBLE8ShWSapwksTwrOm/szUSxPMEExIVFZbE8"
+    "nq5v3QSGsTwgeKKnDaexPFoqeKZhyLE8cDObqgLqsTyi9PCT8guyPFDlT1IzLrI8ujtA5sZQsjym2sdh"
+    "r3OyPCtTQunulrI8UdtFtIe6sjxwLZYOfN6yPGVZJlnOArM80KcqC4EnszxlyTuzlkyzPFaojPgRcrM8"
+    "Q1E0nPWXszyDi416RL6zPNDerYwB5bM8re716S8MtDz4Qr3J0jO0PCzJG4XtW7Q8MpTTmIOEtDxMoV2n"
+    "mK20PCexHHsw17Q8CJW5CE8BtTyyqqxx+Cu1PFqn+AYxV7U8YUQbTP2CtTwH4Tj6Ya+1PJ69iANk3LU8"
+    "eRgIlwgKtjyULnskVTi2PDL0w2BPZ7Y87kiXSv2Wtjwee5ovZce2PAcl9LGN+LY8GNJczn0qtzzDcb3i"
+    "PF23PPlxa7XSkLc803YUfUfFtzwSFG7po/q3PMO+wCzxMLg8QnNoBjlouDyrW2nOhaC4PJU2O4Li2bg8"
+    "RHXz0loUuTwOKvw0+0+5PNgajfHQjLk86tkkOurKuTx48Uk+Vgq6PDtM6EMlS7o86oatwmiNujzERdiC"
+    "M9G6PAq2A8CZFrs8D+qRULFduzxe2nbSkaa7PHfvS95U8bs8p+DCQRY+vDz0yMhC9Iy8PH+p8uwP3rw8"
+    "xTgna40xvTzsO+xvlIe9PJ/xTq9Q4L08YAkZbvI7vjzBg/Mqr5q+PErqUGfC/L48p/eRl25ivzzlxvZD"
+    "/su/PC7sYrPiHMA87471ixFWwDxOpcvNwZHAPKBIXXgx0MA8ppJDA6gRwTwqRHVneFbBPNbCs7wDn8E8"
+    "fPrJoLzrwTyfkVm2Kz3CPKWqSa71k8I88BFEiuPwwjxe98wn7lTDPGG4yMdOwcM8YhPkZpc3xDzRUUfN"
+    "17nEPPZzzzzYSsU80hNz4XruxTxyv0ttZ6rGPC/G6tZQh8c8Ge3y5p+TyDyFe0gN3OnJPPxx2lGew8s8"
+    "g7t+KdnJzjw="
+)
+
+
+@functools.cache
+def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
+    """we_double, and per layer a lower bound on numpy's fast-path threshold ke_double.
+
+    numpy's ke[i] is floor(2**53 * we[i-1] / we[i]) give or take 3 (ke[0]
+    uses we[255] / we[0], and ke[1] is 0); the bound stays 2**10 below that.
+    """
+    we = np.frombuffer(binascii.a2b_base64(_ZIGGURAT_WE), "<f8")
+    ke = np.floor(np.roll(we, 1) / we * 2.0**53) - 2.0**10
+    ke[1] = 0.0
+    return we, ke.clip(0.0).astype(np.uint64)
+
+
+@functools.cache
+def _pcg64_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output j < n of a seeded PCG64 is the XSL-RR of A_j * s + B_j * inc mod 2**128.
+
+    s and inc are the seed's first and second 128-bit word pairs, inc made
+    odd by srandom.  Returns A and B, each as n x 1 uint64 columns of the
+    low word's low and high 32 bits, the low word and the high word.
+    """
+    a, b = _PCG_MULT, _PCG_MULT + 1  # srandom: ((0 * M + inc) + s) * M + inc
+    steps = []
+    for _ in range(n):
+        a, b = a * _PCG_MULT & _U128, (b * _PCG_MULT + 1) & _U128
+        steps.append([word for c in (a, b) for word in (c & _M32, c >> 32 & _M32, c & _U64, c >> 64)])
+    columns = np.array(steps, np.uint64).reshape(n, 8).T[:, :, None]
+    return columns[:4], columns[4:]
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * c mod 2**128 in 64-bit words, c as _pcg64_steps gives it; uint64 products wrap."""
+    c0, c1, c_lo, c_hi = c
+    l0, l1 = lo & _M32, lo >> 32
+    low = l0 * c0
+    cross = l1 * c0 + (low >> 32)
+    mid = l0 * c1 + (cross & _M32)
+    return l1 * c1 + (cross >> 32) + (mid >> 32) + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _block_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """block_exponentials of checked seeds, without its self-check."""
+    # One column per seed while computing: numpy loops fastest over the long axis.
+    s_hi, s_lo, seq_hi, seq_lo = _pcg64_words(seeds).T[:, None]
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    a, b = _pcg64_steps(n)
+    p_hi, p_lo = _mul128(s_hi, s_lo, a)
+    q_hi, q_lo = _mul128(inc_hi, inc_lo, b)
+    lo = p_lo + q_lo
+    hi = p_hi + q_hi + (lo < p_lo)
+    out = hi ^ lo
+    rot = hi >> 58
+    out = out >> rot | out << ((64 - rot) & 63)
+    # random_standard_exponential's fast path: 3 bits dropped, 8 pick the layer.
+    we, ke = _ziggurat()
+    out >>= 3
+    layer = (out & 0xFF).astype(np.intp)
+    out >>= 8
+    draws = out.view(np.int64).astype(np.float64) * we.take(layer)  # out < 2**53 converts exactly
+    sure = np.logical_and.accumulate(out < ke.take(layer), axis=0)
+    return np.ascontiguousarray(draws.T), np.ascontiguousarray(sure.T)
+
+
+_block_drawing: bool | None = None  # whether block draws match numpy; None: not checked yet
+
+
+def _block_drawing_matches() -> bool:
+    """At first call, compare block draws with default_rng on _KNOWN_SEEDS."""
+    global _block_drawing
+    if _block_drawing is None:
+        draws, sure = _block_draws(_KNOWN_SEEDS, 128)
+        expected = np.array([np.random.default_rng(s).standard_exponential(128) for s in _KNOWN_SEEDS])
+        _block_drawing = np.array_equal(draws[sure], expected[sure])
+    return _block_drawing
+
+
+def block_exponentials(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n standard exponentials of each seed's default_rng stream, in one numpy pass.
+
+    Returns draws and sure, both one row per seed: draws[r, j] is
+    default_rng(seeds[r]).standard_exponential(n)[j] wherever sure[r, j]
+    holds.  A draw is sure when it and every draw before it in its row took
+    the ziggurat's fast path, which reads one PCG64 output; the other paths
+    read more, so the columns after one are not numpy's.  All seeds are
+    checked first.  If the known-seed check at first use fails, no draw is
+    sure for the rest of the process.
+    """
+    checked = [check_seed(seed) for seed in seeds]
+    draws, sure = _block_draws(checked, n)
+    sure &= _block_drawing_matches()
+    return draws, sure

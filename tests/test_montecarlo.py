@@ -5,8 +5,9 @@ flow per call before flows were drawn in blocks.  Rows that real seeds
 practically never produce (a first chunk of gaps that ends before the
 duration, tied arrivals, ties nudged past the duration) are injected by
 stand-ins that rewrite the gaps of chosen seeds: one for ``oracle_rng``,
-which the oracle draws through, and one for the seeding seam
-``flow_model.seeded_generators``, which the code under test draws through.
+which the oracle draws through, and one for each seam the code under test
+draws through: ``flow_model.seeded_generators`` and
+``flow_model.block_exponentials``.
 """
 
 import contextlib
@@ -48,6 +49,8 @@ CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
 MODEL = PoissonModel(poisson_rate_for_clear_probability(0.276, CFG.min_length))
 SCALE = 1.0 / MODEL.rate  # seconds per standard exponential gap
 DURATIONS = (0.9, 4.5, 15.3)
+WIDTH_CUT = (2.3, 2.4)  # the widest draw the block pass makes, and one gap wider
+PASS_MIN_ROWS = flow_model._PASS_MIN_ROWS
 ATTACKS = {
     "fixed": mfa_fixed_offset,
     "exhaustive": mfa_varied_offset_exhaustive,
@@ -135,10 +138,20 @@ class InjectedRng:
         return scale * self.standard_exponential(size)
 
 
+class Drawn:
+    """A row of draws made already, handed out as a generator's draw."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def standard_exponential(self, size):
+        assert size == self.row.shape
+        return self.row.copy()
+
+
 @contextlib.contextmanager
 def injected(modes: dict[int, str], duration: float, scale: float = SCALE):
     """Make the seeds in `modes` draw rewritten gaps, in the oracle and in the code."""
-    real_generators = flow_model.seeded_generators
 
     def injected_rng(seed):
         return InjectedRng(np.random.default_rng(seed), modes.get(seed, "plain"), duration, scale)
@@ -147,21 +160,31 @@ def injected(modes: dict[int, str], duration: float, scale: float = SCALE):
         for seed, rng in zip(seeds, real_generators(seeds)):
             yield InjectedRng(rng, modes.get(seed, "plain"), duration, scale)
 
+    def block_exponentials(seeds, n):
+        # A row's pass draws are its first call's draws, cut to n columns.
+        draws, sure = real_exponentials(seeds, n)
+        for seed, row in zip(seeds, draws):
+            InjectedRng(Drawn(row), modes.get(seed, "plain"), duration, scale).standard_exponential(out=row)
+        return draws, sure
+
+    real_generators, real_exponentials = flow_model.seeded_generators, flow_model.block_exponentials
     with mock.patch.object(sys.modules[__name__], "oracle_rng", injected_rng), mock.patch.object(
         flow_model, "seeded_generators", seeded_generators
-    ):
+    ), mock.patch.object(flow_model, "block_exponentials", block_exponentials):
         yield
 
 
 @st.composite
-def seeded_flows(draw, max_flows: int = 40, per_trial: int = 1):
+def seeded_flows(
+    draw, max_flows: int = 40, per_trial: int = 1, min_flows: int = 1, durations=DURATIONS
+):
     """A duration, flow seeds and the injected mode of each seed.
 
     The seed count is a multiple of per_trial.
     """
-    duration = draw(st.sampled_from(DURATIONS))
+    duration = draw(st.sampled_from(durations))
     master = draw(st.integers(0, 2**64 - 1))
-    count = draw(st.integers(1, max_flows // per_trial)) * per_trial
+    count = draw(st.integers(-(-min_flows // per_trial), max_flows // per_trial)) * per_trial
     seeds = [derive_seed(master, "block", i) for i in range(count)]
     kinds = draw(st.lists(st.sampled_from(MODES), min_size=count, max_size=count))
     return duration, seeds, dict(zip(seeds, kinds))
@@ -198,6 +221,40 @@ class TestGenerationMatchesScalarLoop:
         with injected(modes, duration):
             block = generate_block(MODEL, duration, seeds)
             expected = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
+        assert all(map(same_flow, block_rows(block), expected))
+
+    def test_width_cut_durations_straddle_the_widest_block_pass(self):
+        assert [draw_width(MODEL, d) for d in WIDTH_CUT] == [
+            flow_model._PASS_MAX_WIDTH,
+            flow_model._PASS_MAX_WIDTH + 1,
+        ]
+
+    @pytest.mark.parametrize(
+        "duration, count, passes",
+        [
+            (0.9, PASS_MIN_ROWS, True),
+            (WIDTH_CUT[0], PASS_MIN_ROWS, True),
+            (0.9, PASS_MIN_ROWS - 1, False),
+            (WIDTH_CUT[1], PASS_MIN_ROWS, False),
+        ],
+    )
+    def test_block_pass_draws_blocks_of_short_rows(self, duration, count, passes):
+        spy = mock.patch.object(flow_model, "block_exponentials", wraps=flow_model.block_exponentials)
+        with spy as block_exponentials:
+            generate_block(MODEL, duration, [derive_seed(3, "pass", i) for i in range(count)])
+        assert block_exponentials.called == passes
+
+    @settings(deadline=None)
+    @given(
+        case=seeded_flows(
+            max_flows=PASS_MIN_ROWS, min_flows=PASS_MIN_ROWS - 1, durations=(0.9, *WIDTH_CUT)
+        )
+    )
+    def test_block_rows_around_the_block_pass_cuts(self, case):
+        duration, seeds, modes = case
+        with injected(modes, duration):
+            block = generate_block(MODEL, duration, seeds)
+            expected = [generate_flow(MODEL, duration, seed) for seed in seeds]
         assert all(map(same_flow, block_rows(block), expected))
 
     def test_injected_rows_reach_every_path(self, padding=0):
@@ -238,6 +295,12 @@ class TestGenerationMatchesScalarLoop:
         # Six seeds are seeded one default_rng at a time; fourteen as one block.
         assert len(MODES) < _BLOCK_MIN <= len(MODES) + 8
         self.test_injected_rows_reach_every_path(padding=8)
+
+    def test_injected_rows_reach_every_path_in_a_block_pass(self):
+        spy = mock.patch.object(flow_model, "block_exponentials", wraps=flow_model.block_exponentials)
+        with spy as block_exponentials:
+            self.test_injected_rows_reach_every_path(padding=PASS_MIN_ROWS - len(MODES))
+        assert block_exponentials.called
 
 
 def list_verdicts(flows, cfg, shifts, k, search=None) -> list[bool]:

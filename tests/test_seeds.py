@@ -1,5 +1,6 @@
-"""Seed derivation and block seeding against numpy's own default_rng."""
+"""Seed derivation, block seeding and block draws against numpy's own default_rng."""
 
+import decimal
 from unittest import mock
 
 import numpy as np
@@ -7,13 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowmark import PoissonModel, derive_seed, seeds
+from flowmark import PoissonModel, derive_seed, flow_model, seeds
 from flowmark.errors import BadParameter, BadSeed, FlowmarkError
 from flowmark.flow_model import generate_block
-from flowmark.seeds import check_seed, seed_prefix, seeded_generators, trial_seeds
+from flowmark.seeds import block_exponentials, check_seed, seed_prefix, seeded_generators, trial_seeds
 
 SEEDS = st.integers(0, 2**64 - 1)
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345]
+
+
+def block_flows(block) -> list[tuple[bytes, float]]:
+    return [(row[:count].tobytes(), duration) for row, count, duration in zip(*block)]
 
 
 def states(generators) -> list[dict]:
@@ -86,6 +91,132 @@ class TestBlockSeeding:
         for got, want in zip(fallback, expected):
             assert got.tobytes() == want.tobytes()
         assert seeds._block_seeding_matches()
+
+
+ALL_ONES = 2**64 - 1
+ZIGGURAT = seeds._ziggurat
+
+
+def pcg64_with_outputs(first: int, second: int) -> np.random.PCG64:
+    """A PCG64 set through its public state so that its next two outputs are these.
+
+    A state whose high word is 0 outputs its low word, so the states after
+    the two steps are (0, first) and (0, second); the increment that links
+    them must be odd, so first and second must differ in parity.
+    """
+    mult, mask = seeds._PCG_MULT, 2**128 - 1
+    inc = (second - first * mult) & mask
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (first - inc) * pow(mult, -1, 2**128) & mask, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_generator
+
+
+def ziggurat_output(ri: int, layer: int) -> int:
+    """The PCG64 output random_standard_exponential reads as ri in this layer."""
+    return ri << 11 | layer << 3
+
+
+def fast_path(ri: int, layer: int) -> bool:
+    """Whether numpy's exponential reads one output only, here where U = 1 - 2**-53 follows.
+
+    At U that close to 1, the slow path of every layer but the base one
+    rejects and draws again, and the base one reads U too.
+    """
+    bit_generator = pcg64_with_outputs(ziggurat_output(ri, layer), ALL_ONES)
+    np.random.Generator(bit_generator).standard_exponential()
+    return int(bit_generator.random_raw()) == ALL_ONES
+
+
+def ziggurat_widths() -> list[float]:
+    """we_double from the exponential ziggurat's recurrence, run to 40 digits.
+
+    Layer 255 ends at r; each layer has area v = (r + 1) exp(-r), so the one
+    below ends at -ln(v / x + exp(-x)), and the base layer is v / exp(-r) wide.
+    """
+    ctx = decimal.Context(prec=40)
+    r = decimal.Decimal("7.6971174701310497140446280481")
+    v = ctx.multiply(r + 1, ctx.exp(-r))
+    x = [r]
+    for _ in range(254):
+        x.append(-ctx.ln(ctx.add(ctx.divide(v, x[-1]), ctx.exp(-x[-1]))))
+    x.append(ctx.divide(v, ctx.exp(-r)))
+    return [float(ctx.divide(end, 2**53)) for end in reversed(x)]
+
+
+class TestBlockDraws:
+    def test_layer_widths_are_the_recurrence(self):
+        we, _ = seeds._ziggurat()
+        assert we.tolist() == ziggurat_widths()
+
+    def test_layer_widths_are_numpys(self):
+        # ri = 1 draws the layer's width; U = 0 after it makes layer 1, which
+        # has no fast path, accept it on its slow path.
+        we, _ = seeds._ziggurat()
+        for layer in range(256):
+            rng = np.random.Generator(pcg64_with_outputs(ziggurat_output(1, layer), 1))
+            assert rng.standard_exponential() == we[layer]
+
+    def test_thresholds_are_at_most_numpys(self):
+        _, ke = seeds._ziggurat()
+        assert ke[1] == 0
+        for layer in range(256):
+            lo, hi = 0, 2**53  # numpy's threshold: the least ri its fast path rejects
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if fast_path(mid, layer) else (lo, mid)
+            assert ke[layer] <= lo
+            assert lo - ke[layer] <= 2**10 + 4  # close enough that few draws fall back
+
+    @settings(deadline=None, max_examples=50)
+    @given(block=st.lists(SEEDS, max_size=40), n=st.integers(0, 300))
+    @example(block=EDGE_SEEDS, n=64)
+    def test_sure_draws_are_default_rng_draws(self, block, n):
+        draws, sure = block_exponentials(block, n)
+        assert draws.shape == sure.shape == (len(block), n)
+        for seed, row, known in zip(block, draws, sure):
+            expected = np.random.default_rng(seed).standard_exponential(n)
+            assert row[known].tobytes() == expected[known].tobytes()
+            assert known.tolist() == sorted(known.tolist(), reverse=True)  # a prefix
+
+    def test_a_slow_path_draw_ends_the_sure_draws(self):
+        second = int(np.random.default_rng(1).bit_generator.random_raw(2)[1])
+        assert not fast_path(second >> 11, second >> 3 & 0xFF)
+        assert block_exponentials([1], 4)[1].tolist() == [[True, False, False, False]]
+
+    def test_every_seed_is_checked(self):
+        for bad in (1.5, -1, 2**64, True, "3"):
+            with pytest.raises(BadSeed):
+                block_exponentials([3, bad], 4)
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            ("_ziggurat", lambda: (ZIGGURAT()[0], np.full(256, 2**53, np.uint64))),
+            ("_ziggurat", lambda: (np.nextafter(ZIGGURAT()[0], np.inf), ZIGGURAT()[1])),
+            ("_MIX_L", np.uint32(0xCA01F9DF)),
+        ],
+        ids=["thresholds-too-high", "widths-one-ulp-wide", "wrong-mixing"],
+    )
+    def test_failed_known_seed_check_draws_every_row_alone(self, breakage):
+        # 100 rows of 0.9 s flows take the block pass while it is on.
+        model, chosen = PoissonModel(2.8615), [derive_seed(4, "fallback", i) for i in range(100)]
+        assert len(chosen) >= flow_model._PASS_MIN_ROWS
+        expected = generate_block(model, 0.9, chosen)
+        with mock.patch.object(seeds, *breakage), mock.patch.object(
+            seeds, "_block_drawing", None
+        ), mock.patch.object(seeds, "_block_seeding", None):
+            assert not seeds._block_drawing_matches()
+            assert not block_exponentials(chosen, 12)[1].any()
+            with mock.patch.object(flow_model, "seeded_generators", wraps=seeded_generators) as spy:
+                fallback = generate_block(model, 0.9, chosen)
+            assert spy.call_args_list[0].args == (chosen,)
+        assert block_flows(fallback) == block_flows(expected)
+        assert seeds._block_drawing_matches()
 
 
 class TestDerivation:
