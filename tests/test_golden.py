@@ -127,6 +127,26 @@ CASES = {
         [["bounds", "--config", "b.ini", "--out", "b"]],
         "b/bounds.csv",
     ),
+    # Sweeping delta moves the window T - delta, so each row reads p afresh.
+    "bounds-sweep-delta": (
+        {"b.ini": FLOW + "\n" + ATTACK
+                  + "\n[sweep]\nparam = delta\nvalues = 0.2, 0.3, 0.45, 0.6\n"},
+        [["bounds", "--config", "b.ini", "--out", "b"]],
+        "b/bounds.csv",
+    ),
+    "bounds-sweep-epsilon": (
+        {"b.ini": EMPIRICAL + "\n" + ATTACK
+                  + "\n[sweep]\nparam = epsilon\nvalues = 0.5, 1e-2, 1e-9\n"},
+        [["bounds", "--config", "b.ini", "--out", "b"]],
+        "b/bounds.csv",
+    ),
+    # p = 0 needs one flow; p = 0.6 doubles to a base above 1, so no k is feasible.
+    "bounds-sweep-p": (
+        {"b.ini": EMPIRICAL + "\n" + ATTACK
+                  + "\n[sweep]\nparam = p\nvalues = 0, 0.1, 0.276, 0.6\n"},
+        [["bounds", "--config", "b.ini", "--out", "b"]],
+        "b/bounds.csv",
+    ),
     "paper-repro": (
         {},
         [["paper-repro", "--out", "repro", "--trials", "300"]],
@@ -146,7 +166,10 @@ GOLDEN = {
     "attack-fixed-sparse": "2e2d4380fc237605789cfce3bd8059db1e74073e5f3f82c3e1818e0e4843c713",
     "bounds": "5a6540d4426ac054092769bf354e479b9d3548e2e5e910b6debac0488d7b8670",
     "bounds-sweep-T": "37d71ebe143f74b88c1460f59de375a0e1c6ac62d9135ce5bfc14121559a37c3",
+    "bounds-sweep-delta": "f2d882720d77933737bb9c4471e91018c753ab87ba6b49c939e1d32b265a1557",
+    "bounds-sweep-epsilon": "7238b23fc3cdc55b1c499af6529f8416a29ab9a4b3b8d77254798dcc7db661ff",
     "bounds-sweep-o_max": "c46156e7aa11cc37c57b1ceef1db0f87d7f86b8a544fd8b9e1d4d6e17ccde749",
+    "bounds-sweep-p": "3e8acdd9ce569e5cfe4ec916ae7d7a956133ca08e5c60e211a06d07d59bb5f13",
     "detect": "f2bf325611fa61061d46aee5653e8aa857b43e3da8a98c4856a00870f46b733b",
     "embed": "ef3f836568581e51320edbb13cdf5d926a55386cd7d6a8eea50bdc052e06162e",
     "generate": "166a1b779a78249cd83d2f58e609ed7c134158c403bb9ef133ecbcc2b70bd03e",
@@ -180,7 +203,10 @@ REPORT_GOLDEN = {
     "attack-fixed-sparse": "5313b55aace162e01a53aaba12ca7dc182dbdaf9b482bac564cc405f11730484",
     "bounds": "6a7a4c5859668b4cb8a515662ac60d6d574966d0b19f9327ee8e5ed5486bcc0d",
     "bounds-sweep-T": "2b01637e35878fd7fdf62eaeaf36d7638daa22b058eca53df6038925708502de",
+    "bounds-sweep-delta": "9e14e96c6ecd9bbb96dc0d01f7c2b6e8f6a63988184ae1d1dd7e511a257401bf",
+    "bounds-sweep-epsilon": "e136cb737cdccfe405b29c214bd0ac2e9853e3fbb5d80b66573c52f988c8dc4e",
     "bounds-sweep-o_max": "0323bb45997d081b7ab59c05708ecd84571919734dd1e9161a107c9fefa2b355",
+    "bounds-sweep-p": "c5e9c89a4291716cc8f430ffdc2c796afa3daf02daa2ab0abffe1315542eacdd",
     "detect": "c095b897464e8e3ed5425b3036c70b0527183d1c8ef4a09181f3a4a02fe97d9a",
     "embed": "e9fe110265380fefffc6e76c3eb142aed2d172893c95958249868784acb18064",
     "generate": "08c360ec9939990cced3ba5176bbca2a634444536493b6a7c6833a0771389708",
@@ -204,7 +230,10 @@ STDOUT_GOLDEN = {
     "attack-fixed-sparse": "f1e48053dd8d436729070038c4883eaffc0224535b18afabfa9f408cba6bb684",
     "bounds": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
     "bounds-sweep-T": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
+    "bounds-sweep-delta": "c05266c53c63e206f7b494039f894bad8baa58a7108fba7555be37589916579d",
+    "bounds-sweep-epsilon": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
     "bounds-sweep-o_max": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
+    "bounds-sweep-p": "980c47e218ef92254d8a5574bfad062c279d1fb18ad2282389fcea5b86917510",
     "detect": "7c3a681b99302ad15844afa9550733e13f53da6520a86d1303076cd2cf23e0ca",
     "embed": "87d99835acebbad4690edb361bc722e26343728ca654fbe6bb7d61e6543aba5e",
     "generate": "8296eb7738a1581765e66dffb7dd90b186df19447862739a11b05f0129ef30ef",
