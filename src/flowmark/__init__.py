@@ -8,7 +8,6 @@ from .analysis import (
     fp_bound,
     min_flows,
     offset_multiplier,
-    sweep_table,
 )
 from .flow_model import (
     EmpiricalModel,
@@ -86,7 +85,6 @@ __all__ = [
     "read_flow",
     "read_manifest",
     "render_config",
-    "sweep_table",
     "wilson_interval",
     "write_flow",
     "__version__",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadParameter, SearchSpaceTooLarge
 
@@ -92,14 +92,18 @@ def fp_bound(k: int, p: float, multiplier: int = 1) -> FpBound:
 class FeasibilityVerdict:
     """Smallest k pushing the bound below epsilon, or proof that none exists.
 
-    base is multiplier * p.  When base >= 1 the bound never decays and
-    min_k is None.  threshold_o_max is the offset span at which base
-    reaches 1 (delta / p): keeping o_max above it defeats the attack.
+    multiplier is ceil(o_max / delta) and base is multiplier * p.  When
+    base >= 1 the bound never decays, so min_k and fp_bound_at_min_k (the
+    raw bound at min_k) are None.  threshold_o_max is the offset span at
+    which base reaches 1 (delta / p): keeping o_max above it defeats the
+    attack.
     """
 
     feasible: bool
+    multiplier: int
     base: float
     min_k: Optional[int]
+    fp_bound_at_min_k: Optional[float]
     threshold_o_max: float
 
 
@@ -113,23 +117,27 @@ def min_flows(epsilon: float, o_max: float, delta: float, p: float) -> Feasibili
     base = multiplier * p
     threshold = math.inf if p == 0.0 else delta / p
     if base >= 1.0:
-        return FeasibilityVerdict(
-            feasible=False, base=base, min_k=None, threshold_o_max=threshold
-        )
+        return FeasibilityVerdict(False, multiplier, base, None, None, threshold)
     if base == 0.0:
-        return FeasibilityVerdict(
-            feasible=True, base=base, min_k=1, threshold_o_max=threshold
-        )
-    # log(base) < 0 flips the inequality: k > log(epsilon) / log(base).
-    k = math.floor(math.log(epsilon) / math.log(base)) + 1
-    k = max(1, k)
-    while fp_bound(k, p, multiplier).raw >= epsilon:
+        k = 1
+    else:
+        # log(base) < 0 flips the inequality: k > log(epsilon) / log(base).
+        k = max(1, math.floor(math.log(epsilon) / math.log(base)) + 1)
+    raw = fp_bound(k, p, multiplier).raw
+    while raw >= epsilon:
         k += 1
-    while k > 1 and fp_bound(k - 1, p, multiplier).raw < epsilon:
+        raw = fp_bound(k, p, multiplier).raw
+    while k > 1 and (lower := fp_bound(k - 1, p, multiplier).raw) < epsilon:
         k -= 1
-    return FeasibilityVerdict(
-        feasible=True, base=base, min_k=k, threshold_o_max=threshold
-    )
+        raw = lower
+    return FeasibilityVerdict(True, multiplier, base, k, raw, threshold)
+
+
+def _check_half_window(T: float, p_half: float) -> None:
+    if T <= 0 or not math.isfinite(T):
+        raise BadParameter(f"interval length must be positive, got {T}")
+    if not 0.0 < p_half <= 1.0:
+        raise BadParameter(f"clear probability at T/2 must be in (0, 1], got {p_half}")
 
 
 def countermeasure_threshold(T: float, p_half: float) -> float:
@@ -139,63 +147,11 @@ def countermeasure_threshold(T: float, p_half: float) -> float:
     ceil(o_max / (T/2)) * p_half >= 1; the smooth form of that boundary
     is o_max = T / (2 * p_half).
     """
-    if T <= 0 or not math.isfinite(T):
-        raise BadParameter(f"interval length must be positive, got {T}")
-    if not 0.0 < p_half <= 1.0:
-        raise BadParameter(
-            f"clear probability at T/2 must be in (0, 1], got {p_half}"
-        )
+    _check_half_window(T, p_half)
     return T / (2.0 * p_half)
 
 
 def countermeasure_is_effective(o_max: float, T: float, p_half: float) -> bool:
     """True when the discrete bound base ceil(o_max / (T/2)) * p_half is >= 1."""
-    if T <= 0 or not math.isfinite(T):
-        raise BadParameter(f"interval length must be positive, got {T}")
-    if not 0.0 < p_half <= 1.0:
-        raise BadParameter(
-            f"clear probability at T/2 must be in (0, 1], got {p_half}"
-        )
+    _check_half_window(T, p_half)
     return offset_multiplier(o_max, T / 2.0) * p_half >= 1.0
-
-
-SWEEP_COLUMNS = ("swept_value", "multiplier", "base", "min_k", "fp_bound_at_min_k")
-
-_SWEEPABLE = ("T", "delta", "o_max", "epsilon", "p")
-
-
-def sweep_table(
-    param: str,
-    values: Iterable[float],
-    *,
-    T: float,
-    delta: float,
-    o_max: float,
-    epsilon: float,
-    p: float,
-) -> list[tuple[float, int, float, str, str]]:
-    """Feasibility summary rows while one parameter sweeps, for CSV output.
-
-    Each row is (swept value, multiplier, base, min_k or 'inf',
-    fp_bound at min_k or '').  Sweeping T only matters through callers
-    that recompute p(T - delta); here T is carried for interface parity.
-    """
-    if param not in _SWEEPABLE:
-        raise BadParameter(f"cannot sweep {param!r}; choose one of {_SWEEPABLE}")
-    fixed = {"T": T, "delta": delta, "o_max": o_max, "epsilon": epsilon, "p": p}
-    rows: list[tuple[float, int, float, str, str]] = []
-    for value in values:
-        point = dict(fixed)
-        point[param] = float(value)
-        verdict = min_flows(point["epsilon"], point["o_max"], point["delta"], point["p"])
-        multiplier = offset_multiplier(point["o_max"], point["delta"])
-        if verdict.feasible:
-            assert verdict.min_k is not None
-            bound = fp_bound(verdict.min_k, point["p"], multiplier)
-            min_k_text = str(verdict.min_k)
-            bound_text = repr(bound.raw)
-        else:
-            min_k_text = "inf"
-            bound_text = ""
-        rows.append((float(value), multiplier, verdict.base, min_k_text, bound_text))
-    return rows

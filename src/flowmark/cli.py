@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from .analysis import SWEEP_COLUMNS, fp_bound, min_flows, offset_multiplier, sweep_table
+from .analysis import FeasibilityVerdict, min_flows
 from .config import (
     ConfigDict,
     from_section,
@@ -265,19 +266,8 @@ def _scenario_attack(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     return Outcome(args.seed, parameters, row, [row], summary)
 
 
-def _sweep_values(raw: str) -> list[float]:
-    values = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            values.append(float(item))
-        except ValueError:
-            raise ConfigError(f"bad sweep value {item!r}") from None
-    if not values:
-        raise ConfigError("[sweep] values is empty")
-    return values
+# The [sweep] params a bounds row can vary.
+_SWEEPABLE = ("T", "delta", "o_max", "epsilon", "p")
 
 
 def _scenario_bounds(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
@@ -292,14 +282,21 @@ def _scenario_bounds(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
         except FlowmarkError as exc:
             raise ConfigError(f"cannot evaluate clear probability: {exc}") from exc
 
-    p_point = prob_at(acfg.T, acfg.delta)
-    base_kwargs = dict(
-        T=acfg.T, delta=acfg.delta, o_max=acfg.o_max, epsilon=acfg.epsilon, p=p_point
-    )
+    def verdict_at(point: dict) -> FeasibilityVerdict:
+        try:
+            return min_flows(point["epsilon"], point["o_max"], point["delta"], point["p"])
+        except FlowmarkError as exc:
+            raise ConfigError(str(exc)) from exc
 
+    fixed = {
+        "T": acfg.T, "delta": acfg.delta, "o_max": acfg.o_max, "epsilon": acfg.epsilon,
+        "p": prob_at(acfg.T, acfg.delta),
+    }
     if "sweep" in cfg:
         param = get(cfg, "sweep", "param")
-        values = _sweep_values(get(cfg, "sweep", "values"))
+        values = get(cfg, "sweep", "values")
+        if param not in _SWEEPABLE:
+            raise ConfigError(f"cannot sweep {param!r}; choose one of {_SWEEPABLE}")
         sweep_echo = {"param": param, "values": ",".join(repr(v) for v in values)}
     else:
         param, values = "o_max", [acfg.o_max]
@@ -307,32 +304,23 @@ def _scenario_bounds(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
 
     rows = []
     for value in values:
-        kwargs = dict(base_kwargs)
-        if param in ("T", "delta"):
-            # The window length changed, so the clear probability does too.
-            kwargs[param] = value
-            kwargs["p"] = prob_at(kwargs["T"], kwargs["delta"])
-        try:
-            # sweep_table sets the swept value itself and rejects unknown params.
-            (row,) = sweep_table(param, [value], **kwargs)
-        except FlowmarkError as exc:
-            raise ConfigError(str(exc)) from exc
-        rows.append(dict(zip(SWEEP_COLUMNS, row)))
+        point = fixed | {param: value}
+        if param != "p":
+            # p follows the window T - delta unless p itself is swept.
+            point["p"] = prob_at(point["T"], point["delta"])
+        verdict = verdict_at(point)
+        rows.append({
+            "swept_value": value,
+            "multiplier": verdict.multiplier,
+            "base": verdict.base,
+            "min_k": "inf" if verdict.min_k is None else verdict.min_k,
+            "fp_bound_at_min_k": verdict.fp_bound_at_min_k,
+        })
 
-    verdict = min_flows(acfg.epsilon, acfg.o_max, acfg.delta, p_point)
-    multiplier = offset_multiplier(acfg.o_max, acfg.delta)
-    threshold = verdict.threshold_o_max
-    results = {
-        "clear_prob": p_point,
-        "multiplier": multiplier,
-        "base": verdict.base,
-        "feasible": verdict.feasible,
-        "min_k": verdict.min_k,
-        "threshold_o_max": threshold if math.isfinite(threshold) else None,
-        "fp_bound_at_min_k": (
-            fp_bound(verdict.min_k, p_point, multiplier).raw if verdict.feasible else None
-        ),
-    }
+    verdict = verdict_at(fixed)
+    results = {"clear_prob": fixed["p"], **dataclasses.asdict(verdict)}
+    if math.isinf(verdict.threshold_o_max):
+        results["threshold_o_max"] = None  # JSON has no infinity
     parameters = {"attack": to_section(acfg), "flow": model_to_section(model)}
     if sweep_echo is not None:
         parameters["sweep"] = sweep_echo

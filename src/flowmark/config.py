@@ -40,6 +40,22 @@ def parse_table(raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(points)
 
 
+def parse_sweep_values(raw: str) -> list[float]:
+    """Parse the comma-separated numbers of [sweep] values."""
+    values = []
+    for item in raw.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            values.append(float(item))
+        except ValueError:
+            raise ConfigError(f"bad sweep value {item!r}") from None
+    if not values:
+        raise ConfigError("[sweep] values is empty")
+    return values
+
+
 def render_table(table: tuple[tuple[float, float], ...]) -> str:
     return ",".join(f"{t!r}:{p!r}" for t, p in table)
 
@@ -53,7 +69,7 @@ SECTIONS: dict[str, dict[str, Callable[[str], object]]] = {
     },
     "attack": {"T": float, "delta": float, "o_max": float, "epsilon": float, "quantum": float},
     "experiment": {"trials": int, "k": int, "manifest": str, "method": str},
-    "sweep": {"param": str, "values": str},
+    "sweep": {"param": str, "values": parse_sweep_values},
 }
 
 

@@ -109,11 +109,6 @@ class PoissonModel:
             raise BadParameter(f"rate must be positive, got {self.rate}")
 
 
-class TableLookup(NamedTuple):
-    probability: float
-    clamped: bool
-
-
 @dataclass(frozen=True)
 class EmpiricalModel:
     """Clear probability given by linear interpolation over measured points.
@@ -129,8 +124,8 @@ class EmpiricalModel:
         if not pts:
             raise BadParameter("empirical table must not be empty")
         for t, p in pts:
-            if t < 0:
-                raise BadParameter(f"window length {t} is negative")
+            if t < 0 or not math.isfinite(t):
+                raise BadParameter(f"window length {t} must be finite and non-negative")
             if not 0.0 <= p <= 1.0:
                 raise BadParameter(f"probability {p} outside [0, 1]")
         ts = [t for t, _ in pts]
@@ -141,19 +136,19 @@ class EmpiricalModel:
             raise BadParameter("clear probabilities must be non-increasing in t")
         object.__setattr__(self, "table", pts)
 
-    def lookup(self, t: float) -> TableLookup:
-        """Interpolated clear probability plus a flag when t fell off the table."""
+    def lookup(self, t: float) -> float:
+        """Interpolated clear probability, clamped to the end points off the table."""
         ts = [x for x, _ in self.table]
         ps = [p for _, p in self.table]
         if t <= ts[0]:
-            return TableLookup(ps[0], clamped=t < ts[0])
+            return ps[0]
         if t >= ts[-1]:
-            return TableLookup(ps[-1], clamped=t > ts[-1])
+            return ps[-1]
         i = bisect_left(ts, t)
         if ts[i] == t:
-            return TableLookup(ps[i], clamped=False)
+            return ps[i]
         frac = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
-        return TableLookup(ps[i - 1] + frac * (ps[i] - ps[i - 1]), clamped=False)
+        return ps[i - 1] + frac * (ps[i] - ps[i - 1])
 
 
 FlowModel = Union[PoissonModel, EmpiricalModel]
@@ -295,7 +290,7 @@ def clear_probability(model: FlowModel, t: float) -> float:
         return 1.0  # an empty window cannot contain a packet
     if isinstance(model, PoissonModel):
         return math.exp(-model.rate * t)
-    return model.lookup(t).probability
+    return model.lookup(t)
 
 
 def estimate_clear_probability(flow: Flow, t: float, stride: float) -> float:

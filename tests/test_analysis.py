@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowmark import (
     PoissonModel,
@@ -14,9 +16,8 @@ from flowmark import (
     fp_bound,
     min_flows,
     offset_multiplier,
-    sweep_table,
 )
-from flowmark.analysis import SWEEP_COLUMNS, ceil_snapped
+from flowmark.analysis import ceil_snapped
 from flowmark.errors import BadParameter, FlowmarkError, SearchSpaceTooLarge
 
 
@@ -117,7 +118,9 @@ class TestMinFlows:
         verdict = min_flows(1e-5, o_max=0.9, delta=0.45, p=0.276)
         assert verdict.feasible
         assert verdict.min_k == 20
+        assert verdict.multiplier == 2
         assert verdict.base == pytest.approx(0.552, rel=1e-12)
+        assert verdict.fp_bound_at_min_k == fp_bound(20, 0.276, 2).raw
 
     def test_reference_boundary_is_sharp(self):
         # one flow fewer must not reach the target
@@ -128,6 +131,7 @@ class TestMinFlows:
         verdict = min_flows(1e-5, o_max=0.35, delta=0.175, p=0.525)
         assert not verdict.feasible
         assert verdict.min_k is None
+        assert verdict.fp_bound_at_min_k is None
         assert verdict.base == 1.05  # exactly, in floats
         assert verdict.threshold_o_max == pytest.approx(0.175 / 0.525, rel=1e-12)
 
@@ -165,6 +169,26 @@ class TestMinFlows:
         assert base**k < epsilon
         if k > 1:
             assert base ** (k - 1) >= epsilon
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        epsilon=st.floats(1e-12, 0.99),
+        o_max=st.floats(0.0, 2.0),
+        delta=st.floats(0.01, 1.0),
+        p=st.floats(0.0, 1.0),
+    )
+    @example(epsilon=1e-5, o_max=0.9, delta=0.45, p=0.0)
+    def test_verdict_fields_agree_with_the_bound(self, epsilon, o_max, delta, p):
+        verdict = min_flows(epsilon, o_max=o_max, delta=delta, p=p)
+        assert verdict.multiplier == offset_multiplier(o_max, delta)
+        assert verdict.base == verdict.multiplier * p
+        assert verdict.feasible == (verdict.base < 1.0)
+        assert (verdict.fp_bound_at_min_k is None) == (not verdict.feasible)
+        if verdict.feasible:
+            bound = fp_bound(verdict.min_k, p, verdict.multiplier).raw
+            assert verdict.fp_bound_at_min_k == bound < epsilon
+        if verdict.base == 0.0:
+            assert verdict.min_k == 1
 
 
 class TestCountermeasure:
@@ -212,38 +236,6 @@ class TestAgainstTrafficModels:
         assert min_flows(1e-5, o_max=0.9, delta=0.45, p=p).min_k == 20
 
 
-class TestSweepTable:
-    def test_column_contract(self):
-        assert SWEEP_COLUMNS == (
-            "swept_value",
-            "multiplier",
-            "base",
-            "min_k",
-            "fp_bound_at_min_k",
-        )
-
-    def test_o_max_sweep_rows(self):
-        rows = sweep_table(
-            "o_max", [0.45, 0.9, 1.8], T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, p=0.276
-        )
-        assert [r[0] for r in rows] == [0.45, 0.9, 1.8]
-        assert [r[1] for r in rows] == [1, 2, 4]
-        assert rows[1][3] == "20"
-        assert rows[2][3] == "inf"
-        assert rows[2][4] == ""
-
-    def test_row_values_are_serializable_reprs(self):
-        (row,) = sweep_table(
-            "epsilon", [1e-5], T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, p=0.276
-        )
-        assert row[2] == pytest.approx(0.552, rel=1e-12)
-        assert float(row[4]) == pytest.approx(fp_bound(20, 0.276, 2).raw, rel=1e-12)
-
-    def test_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError):
-            sweep_table("key", [1.0], T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, p=0.276)
-
-
 # Every plain-value check of the analysis module, one call each.
 BAD_PARAMETERS = {
     "offset_multiplier delta": lambda: offset_multiplier(0.9, 0.0),
@@ -257,9 +249,6 @@ BAD_PARAMETERS = {
     "countermeasure_threshold p_half": lambda: countermeasure_threshold(0.35, 1.2),
     "countermeasure_is_effective T": lambda: countermeasure_is_effective(0.9, math.inf, 0.5),
     "countermeasure_is_effective p_half": lambda: countermeasure_is_effective(0.9, 0.9, 0.0),
-    "sweep_table param": lambda: sweep_table(
-        "key", [1.0], T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, p=0.276
-    ),
 }
 
 

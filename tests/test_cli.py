@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowmark import cli, closed_form_cases, load_config, parse_config, render_config
+from flowmark.analysis import fp_bound
 from flowmark.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -112,7 +113,7 @@ class TestParseConfig:
     def test_model_from_config_empirical(self):
         cfg = parse_config("[flow]\nmodel = empirical\ntable = 0.35:0.33, 0.45:0.276\n")
         model = model_from_config(cfg)
-        assert model.lookup(0.45).probability == 0.276
+        assert model.lookup(0.45) == 0.276
 
     def test_model_from_config_rejects_unknown_kind(self):
         cfg = parse_config("[flow]\nmodel = pareto\n")
@@ -541,9 +542,12 @@ class TestBoundsScenario:
         assert run_cli("bounds", "--config", cfg, "--out", out) == EXIT_OK
         lines = (out / "bounds.csv").read_text().splitlines()
         assert lines[0] == "swept_value,multiplier,base,min_k,fp_bound_at_min_k"
-        assert len(lines) == 4
-        assert lines[2].split(",")[3] == "20"
-        assert lines[3].split(",")[3] == "inf"
+        cells = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in cells] == ["0.45", "0.9", "1.8"]
+        assert [row[1] for row in cells] == ["1", "2", "4"]
+        assert [row[3] for row in cells] == ["9", "20", "inf"]
+        assert float(cells[1][4]) == fp_bound(20, 0.276, 2).raw
+        assert cells[2][4] == ""
 
     def test_sweeping_interval_length_recomputes_probability(self, tmp_path):
         cfg = tmp_path / "bounds.ini"
@@ -586,6 +590,18 @@ class TestBoundsScenario:
         rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
         assert rc == EXIT_CONFIG
         assert "foo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", ["nan", "inf"])
+    def test_non_finite_table_window_is_config_error(self, tmp_path, capsys, length):
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            f"[flow]\nmodel = empirical\ntable = 0.1:0.5, {length}:0.4\n\n" + ATTACK_SECTION
+        )
+        rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: bad [flow] section: window length")
 
     def test_requires_flow_section(self, tmp_path):
         cfg = tmp_path / "bounds.ini"

@@ -226,11 +226,9 @@ class TestClearProbability:
 
     def test_table_clamps_outside_range(self):
         model = REFERENCE_CLEAR_TABLE
-        assert model.lookup(0.05).clamped
-        assert model.lookup(0.05).probability == 0.525
-        assert model.lookup(2.0).clamped
-        assert model.lookup(2.0).probability == 0.276
-        assert not model.lookup(0.3).clamped
+        assert model.lookup(0.05) == 0.525
+        assert model.lookup(2.0) == 0.276
+        assert 0.33 < model.lookup(0.3) < 0.525
 
     def test_rejects_negative_window(self):
         with pytest.raises(BadParameter, match="window length must be non-negative"):
@@ -261,6 +259,8 @@ BAD_MODELS = {
     "poisson rate": lambda: PoissonModel(0.0),
     "table empty": lambda: EmpiricalModel(table=()),
     "table negative window": lambda: EmpiricalModel(table=((-0.1, 0.5),)),
+    "table nan window": lambda: EmpiricalModel(table=((0.1, 0.5), (math.nan, 0.4))),
+    "table inf window": lambda: EmpiricalModel(table=((0.1, 0.5), (math.inf, 0.4))),
     "table probability": lambda: EmpiricalModel(table=((0.1, 1.5),)),
     "table window order": lambda: EmpiricalModel(table=((0.2, 0.4), (0.1, 0.5))),
     "table probability order": lambda: EmpiricalModel(table=((0.1, 0.3), (0.2, 0.4))),
