@@ -305,6 +305,10 @@ def _scenario_bounds(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     rows = []
     for value in values:
         point = fixed | {param: value}
+        try:  # the row's [attack] values; bounds reads no quantum
+            dataclasses.replace(acfg, quantum=None, **{f: v for f, v in point.items() if f != "p"})
+        except FlowmarkError as exc:
+            raise ConfigError(f"bad [attack] section: {exc}") from exc
         if param != "p":
             # p follows the window T - delta unless p itself is swept.
             point["p"] = prob_at(point["T"], point["delta"])

@@ -137,11 +137,14 @@ class EmpiricalModel:
         object.__setattr__(self, "table", pts)
 
     def lookup(self, t: float) -> float:
-        """Interpolated clear probability, clamped to the end points off the table."""
+        """Interpolated clear probability, 1 at t = 0 and the last point's past the table;
+        an error between 0 and the first point, where any value could under-state it."""
         ts = [x for x, _ in self.table]
         ps = [p for _, p in self.table]
-        if t <= ts[0]:
-            return ps[0]
+        if t == 0.0:
+            return 1.0  # an empty window cannot contain a packet
+        if not t >= ts[0]:
+            raise BadParameter(f"window length {t} is below the table's first point {ts[0]}")
         if t >= ts[-1]:
             return ps[-1]
         i = bisect_left(ts, t)
@@ -286,8 +289,6 @@ def clear_probability(model: FlowModel, t: float) -> float:
     """Probability that a window of length t seconds contains no packet."""
     if t < 0 or not math.isfinite(t):
         raise BadParameter(f"window length must be non-negative, got {t}")
-    if t == 0.0:
-        return 1.0  # an empty window cannot contain a packet
     if isinstance(model, PoissonModel):
         return math.exp(-model.rate * t)
     return model.lookup(t)

@@ -7,9 +7,9 @@ of length at least T - delta that is packet-free in every flow.  Windows are
 snapped inward to a small time quantum, in one vectorised numpy pass over
 all flows covering every offset shift, so the grid search can only shrink
 what is really clear and never reports a window containing a packet.  The
-Monte Carlo driver needs only verdicts: block_verdicts decides a whole block
-of trials at once from the same grid windows, with the search's answer but
-none of its windows.
+Monte Carlo driver needs only verdicts: common_starts adds a flow to every
+trial of a block at once and keeps the grid starts each trial's flows share,
+from the same grid windows, with the search's answer but no window lists.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,21 +129,33 @@ def _grid_windows(
     return (gap, *_snap(edges[gap], edges[gap + 1], shifts, cfg.quantum, m))
 
 
-def block_verdicts(
-    block: FlowBlock, cfg: AttackConfig, shifts: Sequence[float], k: int
-) -> np.ndarray:
-    """Whether the list searches find a common window, for each trial of a block.
+class CommonStarts(NamedTuple):
+    """Disjoint runs [lo, hi) of grid starts per trial, sorted by trial, then lo."""
 
-    Flows k*t to k*t + k - 1 of the block make up trial t.  A trial is present
-    iff some grid start x has [x, x + m] inside one window of every flow, at
-    some shift of that flow (m = _min_units(cfg)).  A window (lo, hi) kept by
-    _grid_windows holds the starts [lo, hi - m + 1).  One sorted sweep
-    of +1/-1 events merges each flow's starts over all shifts into disjoint
-    pieces, where its depth leaves and returns to 0; a second sweep over the
-    pieces of each trial finds where k flows cover a start.  Events sort by
-    one int64 key, group * stride + 2 * (coordinate - base) + rise, so at
-    equal coordinates a piece ends before another starts; where that would
-    overflow, coordinates are replaced by their ranks.
+    trial: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def common_starts(
+    block: FlowBlock,
+    cfg: AttackConfig,
+    shifts: Sequence[float],
+    trials: np.ndarray,
+    carried: Optional[CommonStarts] = None,
+) -> CommonStarts:
+    """The grid starts each trial's flows share, once row r of the block joins trial trials[r].
+
+    A start x is shared iff [x, x + m] lies inside one window of every flow,
+    at some shift of that flow (m = _min_units(cfg)); a window (lo, hi) kept
+    by _grid_windows holds the starts [lo, hi - m + 1).  trials ascends;
+    carried holds the starts the trials' earlier flows share, if any.  One
+    sorted sweep of +1/-1 events over the rows' starts at every shift finds
+    their union where its depth leaves 0; carried pieces join it with weight
+    w, one more than the rows' windows, so the depth exceeds w where both
+    cover a start.  Events sort by one int64 key, trial << bits |
+    (coordinate - base) << 2 | 2 * rise + carried, so at equal coordinates a
+    piece ends before another starts; past int64, ranks replace coordinates.
     """
     rows, width = block.arrivals.shape
     shifts = np.asarray(shifts, dtype=float)
@@ -155,25 +167,28 @@ def block_verdicts(
     edges[:, -1] = block.durations
     gap, lo, hi, keep = _grid_windows(edges.ravel(), span, cfg, shifts)
     m = _min_units(cfg)
-    flow = np.broadcast_to(gap // (width + 2), keep.shape)[keep]
-    coords = np.concatenate((lo[keep], hi[keep] - (m - 1)))
+    trial = trials[np.broadcast_to(gap // (width + 2), keep.shape)[keep]]
+    held = carried or CommonStarts(*[np.empty(0, np.int64)] * 3)
+    coords = np.concatenate((lo[keep], hi[keep] - (m - 1), held.lo, held.hi))
     base = int(coords.min(initial=0))
-    stride = 2 * (int(coords.max(initial=0)) - base + 1)  # keys of one group
-    if rows * stride >= 2**63:
-        base, coords = 0, np.unique(coords, return_inverse=True)[1]
-        stride = 2 * coords.size
-    rises = np.arange(coords.size) < flow.size
-    # The rises of each shift, and its falls, are sorted runs: a stable sort merges them.
-    key = np.concatenate((flow, flow)) * stride + 2 * (coords - base) + rises
-    key = np.sort(key, kind="stable")
-    rise = key & 1
-    key = key[np.cumsum(2 * rise - 1) == rise]  # depth 0 -> 1 or 1 -> 0: piece bounds
-    group, slot = np.divmod(key, stride)
-    key = np.sort(group // k * stride + slot)
-    trial = key[np.cumsum(2 * (key & 1) - 1) == k] // stride
-    present = np.zeros(rows // k, dtype=bool)
-    present[trial] = True
-    return present
+    bits = (int(coords.max(initial=0)) - base).bit_length() + 2  # of one trial's keys
+    values = None
+    if (int(trials[-1]) + 1) << bits > 2**63:
+        values, coords = np.unique(coords, return_inverse=True)
+        base, bits = 0, (values.size - 1).bit_length() + 2
+    n, c = trial.size, held.trial.size
+    key = np.concatenate((trial, trial, held.trial, held.trial)) << bits
+    key += (coords - base) << 2
+    key += np.repeat([2, 0, 3, 1], [n, n, c, c])  # 2 * rise + carried
+    # Each shift's rises, each shift's falls and the carried rises and falls
+    # are sorted runs: a stable sort merges them.
+    key.sort(kind="stable")
+    w = 0 if carried is None else n + 1
+    inside = np.array([-1, -w, 1, w])[key & 3].cumsum() > w
+    key = key[np.diff(inside, prepend=False)]
+    coord = key >> 2 & (1 << (bits - 2)) - 1
+    coord = coord + base if values is None else values[coord]
+    return CommonStarts(key[0::2] >> bits, coord[0::2], coord[1::2])
 
 
 def _intersect(windows_a: list, windows_b: list, min_units: int) -> list:

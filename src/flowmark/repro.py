@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .analysis import countermeasure_is_effective, countermeasure_threshold, fp_bound, min_flows
 from .flow_model import (
     REFERENCE_CLEAR_TABLE,
@@ -22,8 +24,8 @@ from .flow_model import (
     poisson_rate_for_clear_probability,
 )
 from .errors import BadParameter
-from .mfa import AttackConfig, attack_plan, block_verdicts
-from .seeds import trial_seeds
+from .mfa import AttackConfig, attack_plan, common_starts
+from .seeds import trial_heads, trial_seeds
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
 # the reference trace. All headline numbers below derive from these.
@@ -116,7 +118,7 @@ def closed_form_cases(
 
 
 # Kernel cells (offset shifts x gap edges, edges padded to the draw width)
-# per block of Monte Carlo trials: caps block_verdicts' work arrays.
+# per block of Monte Carlo trials, one flow each: caps common_starts' work arrays.
 _BLOCK_CELLS = 2**15
 
 
@@ -144,21 +146,29 @@ def monte_carlo_attack(
     Flow i of trial t is drawn from `model` over `duration` seconds with
     seed derive_seed(seed, "mc", t, i), and the attack runs with the given
     clear probability, so its bound is the same in every trial.  Trials run
-    in blocks of at most _BLOCK_CELLS kernel cells (at least one trial): a
-    block's flows are drawn and snapped together, and block_verdicts
-    decides every trial of the block, as the method's search would, without
-    building window lists.
+    in blocks of at most _BLOCK_CELLS kernel cells per flow (at least one
+    trial), each in k stages: stage i draws flow i of the trials still
+    alive, and common_starts keeps the grid starts their flows 0 to i share.
+    A trial left with none is absent, as the method's search would find, and
+    its later flows, which touch no other trial's seed, are never drawn.
     """
     if trials < 1:
         raise BadParameter(f"trials must be positive, got {trials}")
     width = draw_width(model, duration)
     offsets, _ = attack_plan(method, cfg, k)
     bound = fp_bound(k, clear_prob, len(offsets)).clamped
-    per_block = max(1, _BLOCK_CELLS // (len(offsets) * k * (width + 2)))
+    per_block = max(1, _BLOCK_CELLS // (len(offsets) * (width + 2)))
     hits = 0
     for first in range(0, trials, per_block):
-        seeds = trial_seeds(seed, "mc", range(first, min(trials, first + per_block)), k)
-        hits += int(block_verdicts(generate_block(model, duration, seeds), cfg, offsets, k).sum())
+        heads = trial_heads(seed, "mc", range(first, min(trials, first + per_block)))
+        alive, common = np.arange(heads.size), None
+        for i in range(k):
+            block = generate_block(model, duration, trial_seeds(heads[alive], i))
+            common = common_starts(block, cfg, offsets, alive, common)
+            alive = common.trial[np.diff(common.trial, prepend=-1) != 0]
+            if not alive.size:
+                break
+        hits += alive.size
     sigma = math.sqrt(bound * (1.0 - bound) / trials)
     return MonteCarloRate(hits, hits / trials, bound, bound + 3.0 * sigma)
 

@@ -43,6 +43,13 @@ def check_seed(seed: int) -> int:
     return seed
 
 
+def check_seeds(seeds: Sequence[int]) -> Sequence[int]:
+    """The seeds, checked in one pass when all are ints in range; else the first bad one raises."""
+    if set(map(type, seeds)) <= {int} and 0 <= min(seeds, default=0) and max(seeds, default=0) <= _SEED_MASK:
+        return seeds
+    return [check_seed(seed) for seed in seeds]
+
+
 def _encode(part: int | float | str) -> bytes:
     """A seed part's canonical bytes, tagged by type so ("a", 1) and ("a1",) differ."""
     if isinstance(part, bool):
@@ -65,21 +72,25 @@ def seed_prefix(master: int, *parts: int | float | str):
     return h
 
 
-def trial_seeds(master: int, label: int | float | str, trials: Iterable[int], k: int) -> list[int]:
-    """[derive_seed(master, label, t, i) for t in trials for i in range(k)].
-
-    Each trial's part is hashed once, then each flow index's.
-    """
+def trial_heads(master: int, label: int | float | str, trials: Iterable[int]) -> np.ndarray:
+    """The hash state of derive_seed(master, label, t, ...) for each trial t, as an object array."""
     prefix = seed_prefix(master, label)
-    tails = [_encode(i) for i in range(k)]
-    digests = []
+    heads = []
     for t in trials:
         head = prefix.copy()
         head.update(_encode(t))
-        for tail in tails:
-            h = head.copy()
-            h.update(tail)
-            digests.append(h.digest())
+        heads.append(head)
+    return np.array(heads, dtype=object)
+
+
+def trial_seeds(heads: Iterable, i: int) -> list[int]:
+    """derive_seed(master, label, t, i) for the trial_heads(master, label, ...) of each trial t."""
+    tail = _encode(i)
+    digests = []
+    for head in heads:
+        h = head.copy()
+        h.update(tail)
+        digests.append(h.digest())
     return list(struct.unpack(f"<{len(digests)}Q", b"".join(digests)))
 
 
@@ -223,7 +234,7 @@ def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     All seeds are checked first.  From _BLOCK_MIN seeds on, their
     SeedSequence mixing runs in one numpy pass.
     """
-    checked = [check_seed(seed) for seed in seeds]
+    checked = check_seeds(seeds)
     if len(checked) < _BLOCK_MIN or not _block_seeding_matches():
         return map(np.random.default_rng, checked)
     return _block_generators(checked)
@@ -362,7 +373,6 @@ def block_exponentials(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.nda
     checked first.  If the known-seed check at first use fails, no draw is
     sure for the rest of the process.
     """
-    checked = [check_seed(seed) for seed in seeds]
-    draws, sure = _block_draws(checked, n)
+    draws, sure = _block_draws(check_seeds(seeds), n)
     sure &= _block_drawing_matches()
     return draws, sure

@@ -580,6 +580,36 @@ class TestBoundsScenario:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "param, values, message",
+        [
+            ("T", "0.9, 0.3", "delta must be in (0, T=0.3], got 0.45"),
+            ("delta", "0.45, 1.2", "delta must be in (0, T=0.9], got 1.2"),
+        ],
+    )
+    def test_sweep_past_the_interval_is_an_attack_error(self, tmp_path, capsys, param, values, message):
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            "[flow]\nmodel = poisson\nrate = 3.0\n\n"
+            + ATTACK_SECTION
+            + f"\n[sweep]\nparam = {param}\nvalues = {values}\n"
+        )
+        rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: bad [attack] section: {message}\n"
+
+    def test_table_below_its_first_point_is_config_error(self, tmp_path, capsys):
+        # T - delta = 0.05 s lies below the reference table's first window, 0.175 s.
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            "[flow]\nmodel = empirical\ntable = 0.175:0.525, 0.35:0.33, 0.45:0.276\n\n"
+            "[attack]\nT = 0.5\ndelta = 0.45\no_max = 0.9\nepsilon = 1e-5\n"
+        )
+        rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "below the table's first point 0.175" in err
+
     def test_unknown_sweep_param_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bounds.ini"
         cfg.write_text(

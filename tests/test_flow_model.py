@@ -225,10 +225,30 @@ class TestClearProbability:
         assert mid == pytest.approx((0.525 + 0.33) / 2, rel=1e-12)
 
     def test_table_clamps_outside_range(self):
+        # Past the last point the table clamps; below the first, only an empty window has a value.
         model = REFERENCE_CLEAR_TABLE
-        assert model.lookup(0.05) == 0.525
+        with pytest.raises(BadParameter, match="below the table's first point 0.175"):
+            model.lookup(0.05)
+        assert model.lookup(0.0) == clear_probability(model, 0.0) == 1.0
         assert model.lookup(2.0) == 0.276
         assert 0.33 < model.lookup(0.3) < 0.525
+
+    @settings(deadline=None)
+    @given(
+        table=st.lists(
+            st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1.0)), min_size=1, max_size=5
+        ),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_table_never_under_states_below_its_first_point(self, table, frac):
+        ts = sorted({t for t, _ in table})
+        ps = sorted((p for _, p in table[: len(ts)]), reverse=True)
+        model = EmpiricalModel(table=tuple(zip(ts, ps)))
+        t = frac * ts[0]
+        try:
+            assert model.lookup(t) >= ps[0]
+        except BadParameter as exc:
+            assert 0.0 < t < ts[0] and repr(ts[0]) in str(exc)
 
     def test_rejects_negative_window(self):
         with pytest.raises(BadParameter, match="window length must be non-negative"):
@@ -508,6 +528,7 @@ BAD_PARAMETERS = {
     "draw_width duration": lambda: draw_width(PoissonModel(5.0), 0.0),
     "draw_width packets": lambda: draw_width(PoissonModel(3.0), 1e300),
     "clear_probability window": lambda: clear_probability(PoissonModel(2.0), -0.1),
+    "lookup below the first point": lambda: REFERENCE_CLEAR_TABLE.lookup(0.05),
     "estimate window": lambda: estimate_clear_probability(Flow([0.5], 2.0), 0.0, 0.5),
     "estimate window too long": lambda: estimate_clear_probability(Flow([0.5], 1.0), 2.0, 0.5),
     "estimate stride": lambda: estimate_clear_probability(Flow([0.5], 2.0), 0.5, 0.0),

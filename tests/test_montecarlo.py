@@ -40,7 +40,7 @@ from flowmark.mfa import (
     _offset_grid,
     _window_lists,
     attack_plan,
-    block_verdicts,
+    common_starts,
 )
 from flowmark.repro import MonteCarloRate, monte_carlo_attack
 from flowmark.seeds import _BLOCK_MIN
@@ -303,6 +303,25 @@ class TestGenerationMatchesScalarLoop:
         assert block_exponentials.called
 
 
+def block_verdicts(block: FlowBlock, cfg, shifts, k: int) -> np.ndarray:
+    """Per trial of k consecutive rows: do its flows share a grid start?
+
+    Stage i adds row k*t + i to each trial t still alive, as the Monte Carlo
+    driver adds flow i, so a trial's later rows are skipped once it is absent.
+    """
+    alive, common = np.arange(block.arrivals.shape[0] // k), None
+    for i in range(k):
+        rows = alive * k + i
+        stage = FlowBlock(block.arrivals[rows], block.counts[rows], block.durations[rows])
+        common = common_starts(stage, cfg, shifts, alive, common)
+        alive = np.unique(common.trial)
+        if not alive.size:
+            break
+    present = np.zeros(block.arrivals.shape[0] // k, dtype=bool)
+    present[alive] = True
+    return present
+
+
 def list_verdicts(flows, cfg, shifts, k, search=None) -> list[bool]:
     """Per trial of k consecutive flows: did the list search find a common window?"""
     search = search or (lambda lists: _bnb(lists, _min_units(cfg)))
@@ -533,19 +552,49 @@ class TestDriverMatchesPerTrialLoop:
         assert mc == reference_monte_carlo("bnb", CFG, sparse, 0.9, 20, 40, 0, 0.9)
         assert 0 < mc.hits < 40
 
-    @pytest.mark.parametrize("duration, trials", [(0.9, 260), (15.3, 80)])
+    @pytest.mark.parametrize("duration, trials", [(0.9, 1300), (15.3, 380)])
     @pytest.mark.parametrize("method", sorted(ATTACKS))
     def test_hits_do_not_depend_on_the_block_size(self, method, duration, trials):
         # The default budget splits these runs into 2 or 3 blocks; then one
-        # trial per block, and every trial in one block.
+        # trial per block, and every trial in one block.  A block's budget
+        # holds one flow of each of its trials.
         args = (method, CFG, MODEL, duration, 5, trials, 2, 0.276)
-        cells = 5 * len(attack_plan(method, CFG, 5)[0]) * (draw_width(MODEL, duration) + 2)
+        cells = len(attack_plan(method, CFG, 5)[0]) * (draw_width(MODEL, duration) + 2)
         assert 1 < -(-trials * cells // repro._BLOCK_CELLS) <= 3
         expected = monte_carlo_attack(*args)
         for budget in (1, 2 * trials * cells):
             with mock.patch.object(repro, "_BLOCK_CELLS", budget):
                 assert monte_carlo_attack(*args) == expected
         assert expected == reference_monte_carlo(*args)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        method=st.sampled_from(sorted(ATTACKS)),
+        k=st.sampled_from([1, 2, 5]),
+        duration=st.sampled_from([0.9, 4.5]),
+        budget=st.sampled_from([1, repro._BLOCK_CELLS, 2**22]),
+        trials=st.integers(1, 30),
+        seed=st.integers(0, 2**64 - 1),
+        kinds=st.lists(st.sampled_from(MODES), min_size=150, max_size=150),
+    )
+    def test_hits_match_the_per_trial_loop(self, method, k, duration, budget, trials, seed, kinds):
+        seeds = [derive_seed(seed, "mc", t, i) for t in range(trials) for i in range(k)]
+        args = (method, CFG, MODEL, duration, k, trials, seed, 0.276)
+        with injected(dict(zip(seeds, kinds)), duration), mock.patch.object(repro, "_BLOCK_CELLS", budget):
+            assert monte_carlo_attack(*args) == reference_monte_carlo(*args)
+
+    @pytest.mark.parametrize("clear_prob, all_drawn", [(0.276, False), (0.9999, True)])
+    def test_absent_trials_draw_no_more_flows(self, clear_prob, all_drawn):
+        # At p = 0.276 most trials share no window after one or two flows; at
+        # p = 0.9999 almost no flow holds a packet, so every trial survives.
+        model = PoissonModel(poisson_rate_for_clear_probability(clear_prob, CFG.min_length))
+        spy = mock.patch.object(repro, "generate_block", wraps=generate_block)
+        with spy as drawn:
+            mc = monte_carlo_attack("bnb", CFG, model, 0.9, 5, 300, 4, clear_prob)
+        rows = sum(len(call.args[2]) for call in drawn.call_args_list)
+        assert (rows == 5 * 300) == all_drawn and rows <= 5 * 300
+        assert (mc.hits == 300) == all_drawn
+        assert mc == reference_monte_carlo("bnb", CFG, model, 0.9, 5, 300, 4, clear_prob)
 
     def test_unknown_method_is_an_error(self):
         with pytest.raises(ValueError, match="unknown attack method"):

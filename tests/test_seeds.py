@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from flowmark import PoissonModel, derive_seed, flow_model, seeds
 from flowmark.errors import BadParameter, BadSeed, FlowmarkError
 from flowmark.flow_model import generate_block
-from flowmark.seeds import block_exponentials, check_seed, seed_prefix, seeded_generators, trial_seeds
+from flowmark.seeds import (
+    block_exponentials,
+    check_seed,
+    seed_prefix,
+    seeded_generators,
+    trial_heads,
+    trial_seeds,
+)
 
 SEEDS = st.integers(0, 2**64 - 1)
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345]
@@ -226,15 +233,19 @@ class TestDerivation:
         first=st.integers(-(2**70), 2**70),
         count=st.integers(0, 12),
         k=st.integers(0, 7),
+        picks=st.lists(st.booleans(), min_size=12, max_size=12),
     )
-    def test_trial_seeds_are_derive_seeds(self, master, label, first, count, k):
+    def test_trial_seeds_are_derive_seeds(self, master, label, first, count, k, picks):
         trials = range(first, first + count)
-        expected = [derive_seed(master, label, t, i) for t in trials for i in range(k)]
-        assert trial_seeds(master, label, trials, k) == expected
+        heads = trial_heads(master, label, trials)
+        rows = np.flatnonzero(picks[:count])
+        for i in range(k):
+            assert trial_seeds(heads, i) == [derive_seed(master, label, t, i) for t in trials]
+            assert trial_seeds(heads[rows], i) == [derive_seed(master, label, trials[r], i) for r in rows]
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.0, True])
     def test_bad_seed_is_a_toolkit_error_and_a_value_or_type_error(self, bad):
-        for call in (check_seed, derive_seed, seed_prefix, lambda m: trial_seeds(m, "mc", [0], 1)):
+        for call in (check_seed, derive_seed, seed_prefix, lambda m: trial_heads(m, "mc", [0])):
             with pytest.raises(BadSeed) as info:
                 call(bad)
             assert isinstance(info.value, (FlowmarkError, ValueError, TypeError))
