@@ -14,6 +14,7 @@ from flowmark.flow_model import generate_block
 from flowmark.seeds import (
     block_exponentials,
     check_seed,
+    check_seeds,
     seed_prefix,
     seeded_generators,
     trial_heads,
@@ -253,6 +254,26 @@ class TestDerivation:
             check_seed(-1)
         with pytest.raises(TypeError):
             check_seed(1.0)
+
+    @given(
+        block=st.lists(
+            st.one_of(SEEDS, SEEDS, st.integers(-(2**70), 2**70), st.booleans(), st.floats()),
+            max_size=12,
+        )
+    )
+    def test_a_block_of_seeds_fails_as_its_first_bad_seed(self, block):
+        errors = []
+        for seed in block:
+            try:
+                check_seed(seed)
+            except BadSeed as exc:
+                errors.append(exc)
+        if not errors:
+            assert check_seeds(block) == block
+            return
+        with pytest.raises(BadSeed) as info:
+            check_seeds(block)
+        assert (type(info.value), str(info.value)) == (type(errors[0]), str(errors[0]))
 
     @pytest.mark.parametrize("part", [True, None, b"x", (1,)])
     def test_bad_part_is_bad_seed(self, part):
