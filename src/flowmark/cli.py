@@ -108,6 +108,14 @@ def _poisson_model(cfg: ConfigDict) -> PoissonModel:
     return model
 
 
+def _flow_duration(cfg: ConfigDict, default=dataclasses.MISSING) -> float:
+    """[flow] duration, or default when it is absent; it must be positive and finite."""
+    duration = get(cfg, "flow", "duration", default)
+    if not 0.0 < duration < math.inf:
+        raise ConfigError(f"[flow] duration must be positive and finite, got {duration!r}")
+    return duration
+
+
 def _manifest_flows(cfg: ConfigDict, args: argparse.Namespace):
     manifest = args.config.parent / get(cfg, "experiment", "manifest")
     paths = read_manifest(manifest)
@@ -160,7 +168,7 @@ def _write_flows(
 
 def _scenario_generate(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     model = _poisson_model(cfg)
-    duration = get(cfg, "flow", "duration")
+    duration = _flow_duration(cfg)
     count = _resolve_trials(args, cfg, what="flow count")
     seed = _require_seed(args)
 
@@ -183,9 +191,12 @@ def _scenario_embed(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     model = _poisson_model(cfg)
     params = from_section(WatermarkParams, cfg, "watermark")
     # Default duration covers the detector sweep, not just the embedder.
-    duration = get(cfg, "flow", "duration", None)
-    if duration is None:
-        duration = params.o_max + params.n * params.T
+    duration = _flow_duration(cfg, params.o_max + params.n * params.T)
+    window_end = params.o + params.n * params.T
+    if duration < window_end:
+        raise ConfigError(
+            f"[flow] duration {duration!r} is shorter than the watermark window end {window_end!r}"
+        )
     count = _resolve_trials(args, cfg, what="flow count")
     seed = _require_seed(args)
 
@@ -338,9 +349,7 @@ def _scenario_montecarlo(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     model = _poisson_model(cfg)
     # Default span is one interval so each offset assignment contributes a
     # single alignment, matching the analytic bound's accounting.
-    duration = get(cfg, "flow", "duration", None)
-    if duration is None:
-        duration = acfg.T
+    duration = _flow_duration(cfg, acfg.T)
     trials = _resolve_trials(args, cfg)
     seed = _require_seed(args)
     method = _method_name(cfg)

@@ -206,9 +206,9 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
     last size (at least 16).  Shorter rows are padded with inf.
 
     A block the block_exponentials pass takes draws the expected count plus 4
-    sigma plus 4 gaps of every row at once.  Its rows end in inf after their
-    first arrival past duration; a row whose draws are not sure up to that
-    arrival is drawn again by its own generator.
+    sigma plus 4 gaps of every row at once; a row whose draws are not sure up
+    to its first arrival past duration is drawn again by its own generator.
+    Such a generator is seeded once and goes on for the row's later chunks.
     """
     chunk = draw_width(model, duration)
     scale = 1.0 / model.rate
@@ -218,23 +218,20 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
         expected = model.rate * duration
         gaps, sure = block_exponentials(seeds, min(chunk, int(expected + 4.0 * math.sqrt(expected)) + 4))
         past = np.cumsum(gaps * scale, axis=1) > duration  # as the arrivals below are summed
-        gaps[:, 1:][past[:, :-1]] = math.inf  # after the first arrival past duration
         arrivals[:, : gaps.shape[1]] = gaps
         arrivals[:, gaps.shape[1] :] = math.inf
         redraw = np.flatnonzero(~(past & sure).any(axis=1)).tolist()
-    for r, rng in zip(redraw, seeded_generators([seeds[r] for r in redraw])):
+    rngs = dict(zip(redraw, seeded_generators([seeds[r] for r in redraw])))
+    for r, rng in rngs.items():
         rng.standard_exponential(out=arrivals[r])
     arrivals *= scale  # numpy's exponential(scale) is scale * standard_exponential()
     np.cumsum(arrivals, axis=1, out=arrivals)  # row by row, as the 1-D cumsum
     extra: dict[int, np.ndarray] = {}
     for r in np.flatnonzero(arrivals[:, -1] <= duration).tolist():
-        # Resume the row's stream where its first chunk ended.
-        rng = next(seeded_generators([seeds[r]]))
-        rng.standard_exponential(size=chunk)
         times, size, total = [], chunk, float(arrivals[r, -1])
         while total <= duration:
             size = max(16, size // 4)
-            times.append(total + np.cumsum(rng.exponential(scale=scale, size=size)))
+            times.append(total + np.cumsum(rngs[r].exponential(scale=scale, size=size)))
             total = float(times[-1][-1])
         extra[r] = np.concatenate(times)
     if extra:

@@ -14,13 +14,14 @@ default_rng for the rest of the process.
 block_exponentials goes on from those words to the first standard
 exponentials of every seed at once: PCG64's state after j steps is linear in
 its seed words, and most draws take the exponential ziggurat's fast path,
-which reads one output.  It marks the draws it is sure of and, if its own
-first-use check against default_rng fails, marks none.
+which reads one output.  The ziggurat's layer widths are read from numpy at
+first use, by one draw per layer from a PCG64 set to output that layer.  It
+marks the draws it is sure of and, if its own first-use check against
+default_rng fails, marks none.
 """
 
 from __future__ import annotations
 
-import binascii
 import functools
 import hashlib
 import struct
@@ -172,19 +173,21 @@ def _pcg64_words(seeds: Sequence[int]) -> np.ndarray:
 
 
 class _BlockSeed:
-    """One seed's SeedSequence output, computed with the rest of its block.
+    """The SeedSequence outputs of a block of seeds, one row per seed, handed out in turn.
 
     PCG64 seeds itself from generate_state(4, np.uint64), so that is all
-    this seed sequence answers.
+    this seed sequence answers, with the next seed's row at each call.  One
+    object serves the block, not one per seed, so the generators a block
+    keeps alive give the garbage collector fewer objects to trace.
     """
 
     def __init__(self, words: np.ndarray):
-        self.words = words
+        self.rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise BadParameter(f"a block seed holds 4 uint64 words, not {n_words} {dtype}")
-        return self.words
+        return next(self.rows)
 
 
 @functools.cache
@@ -199,8 +202,9 @@ def _seed_sequence(base: type) -> type:
 
 def _block_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     """A generator per checked seed, from one vectorised pass over all of them."""
-    block_seed, generator, pcg64 = _seed_sequence(_BlockSeed), np.random.Generator, np.random.PCG64
-    return (generator(pcg64(block_seed(w))) for w in _pcg64_words(seeds))
+    block_seed = _seed_sequence(_BlockSeed)(_pcg64_words(seeds))
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return (generator(pcg64(block_seed)) for _ in seeds)
 
 
 _KNOWN_SEEDS = (0, 1, 2**32 - 1, 2**32, _SEED_MASK)
@@ -244,56 +248,26 @@ def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _U64, _U128 = (1 << 64) - 1, (1 << 128) - 1
 
-# numpy's we_double, the 256 layer widths of its exponential ziggurat over
-# 2**53, as little-endian doubles.  The tests derive them from the ziggurat
-# recurrence, which takes longer at first use than decoding them.
-_ZIGGURAT_WE = (
-    "wV2/lOxk0TwZQV2LnVhgPCtNW0my1mo8uo1bqTWTcTxzKkrl5iJ1PIB6wvuQUHg8zLd579E4ezyYvW23"
-    "2Ox9PDxcxknwO4A8cPbWJNtwgTwzJtqQApiCPMpuPf6Is4M8If4LxhXFhDzDSgKd+M2FPL0rp/BAz4Y8"
-    "GdAX2s3JhzxvYNNUWb6IPNI3IlWArYk8A1JdvsiXijzEo93dpX2LPIk/jNd7X4w8NnzxTaI9jTxac/F4"
-    "ZhiOPKpPX88M8I48CTJoXdLEjzxYdWrtdkuQPPyAm0dIs5A8r/VJh/MZkTyg30vrjH+RPOdJPukm5JE8"
-    "Lv84ZdJHkjwLaCPhnqqSPEvaJqWaDJM8AoJt4tJtkzygYiHRU86TPEhncMooLpQ8Euc1X1yNlDyTC81r"
-    "+OuUPE1veCkGSpU8/b64PY6nlTzPLt3HmASWPOBoDG0tYZY8RKn6YlO9ljy7kHl5ERmXPHN5ByNudJc8"
-    "coF+fG/PlzyZ1f5TGyqYPOzhKy93hJg8KsXQUIjemDxEov29UziZPDgTrULekZk8vwP/dSzrmTxKiBS+"
-    "QkSaPGHSllMlnZo8ySTyRNj1mjybl0x5X06bPImPP7O+pps8mf5Zk/n+mzyf0nCaE1ecPNtawisQr5w8"
-    "++bwjvIGnTyNa9jxvV6dPFeQQmp1tp08/jF89xsOnjxEEM+DtGWePGIb4uVBvZ48n5QC4sYUnzy1/lcr"
-    "RmyfPKGpBGXCw5882TyaEZ8NoDxisQ32XTmgPPh2chwfZaA8cgBLu+OQoDw3AXEDrbygPGYveiB86KA8"
-    "FawXOVIUoTy+fXBvMEChPPt/d+EXbKE8liM9qQmYoTyDUj3dBsShPOLEqZAQ8KE8BQ6x0yccojwpo8Kz"
-    "TUiiPJ8Y0DuDdKI8qs2LdMmgojxdO6VkIc2iPCEXAxGM+aI8EXb7fAomozyhG4qqnVKjPPAahZpGf6M8"
-    "/O/PTAasozxtM43A3dijPMQJT/TNBaQ80GxG5tcypDynbHGU/F+kPMSDyPw8jaQ8pBhrHZq6pDzqRcv0"
-    "FOikPPsA2YGuFaU8+LUsxGdDpTwnbzG8QXGlPPmcTms9n6U8NZMR1FvNpTwmz1b6nfulPC4ac+MEKqY8"
-    "jJtclpFYpjzu69MbRYemPN88jX4gtqY8CKZZyyTlpjz7qVARUxSnPBwE+mGsQ6c8MNF30TFzpzwKJLF2"
-    "5KKnPPcXfWvF0qc8d3LOzNUCqDwq5t+6FjOoPOcIYVmJY6g8VA+kzy6UqDyUYMxICMWoPBMV/vMW9qg8"
-    "4XOOBFwnqTyKgjWy2FipPPS7QDmOiqk8XQPH2n28qTxR6d3cqO6pPC1Z0IoQIao8kMZWNbZTqjwP89Ay"
-    "m4aqPHplgd/Auao8/6zKnSjtqjy1i27W0yCrPEIlz/jDVKs8tk8ye/qIqzwQJgfbeL2rPIX9LZ1A8qs8"
-    "LeBCTlMnrDykseqCslysPPsjI9hfkqw8bKWV81zIrDyAce2Dq/6sPK3yMEFNNa08/qMe7UNsrTwKpY1T"
-    "kaOtPH810ko32608m1AmtDcTrjxSpBZ8lEuuPH8j9JpPhK48eHZKFWu9rjxokVv86PauPH+8oG7LMK88"
-    "0F5RmBRrrzzl4e+zxqWvPNgJ3Qrk4K881BH5ejcOsDwbORHvNCywPKMkkp5rSrA82yYRz9xosDwPrTrP"
-    "iYewPBnIM/dzprA8b5QAqZzFsDy3z+9QBeWwPM7vC2avBLE8ShWSapwksTwrOm/szUSxPMEExIVFZbE8"
-    "nq5v3QSGsTwgeKKnDaexPFoqeKZhyLE8cDObqgLqsTyi9PCT8guyPFDlT1IzLrI8ujtA5sZQsjym2sdh"
-    "r3OyPCtTQunulrI8UdtFtIe6sjxwLZYOfN6yPGVZJlnOArM80KcqC4EnszxlyTuzlkyzPFaojPgRcrM8"
-    "Q1E0nPWXszyDi416RL6zPNDerYwB5bM8re716S8MtDz4Qr3J0jO0PCzJG4XtW7Q8MpTTmIOEtDxMoV2n"
-    "mK20PCexHHsw17Q8CJW5CE8BtTyyqqxx+Cu1PFqn+AYxV7U8YUQbTP2CtTwH4Tj6Ya+1PJ69iANk3LU8"
-    "eRgIlwgKtjyULnskVTi2PDL0w2BPZ7Y87kiXSv2Wtjwee5ovZce2PAcl9LGN+LY8GNJczn0qtzzDcb3i"
-    "PF23PPlxa7XSkLc803YUfUfFtzwSFG7po/q3PMO+wCzxMLg8QnNoBjlouDyrW2nOhaC4PJU2O4Li2bg8"
-    "RHXz0loUuTwOKvw0+0+5PNgajfHQjLk86tkkOurKuTx48Uk+Vgq6PDtM6EMlS7o86oatwmiNujzERdiC"
-    "M9G6PAq2A8CZFrs8D+qRULFduzxe2nbSkaa7PHfvS95U8bs8p+DCQRY+vDz0yMhC9Iy8PH+p8uwP3rw8"
-    "xTgna40xvTzsO+xvlIe9PJ/xTq9Q4L08YAkZbvI7vjzBg/Mqr5q+PErqUGfC/L48p/eRl25ivzzlxvZD"
-    "/su/PC7sYrPiHMA87471ixFWwDxOpcvNwZHAPKBIXXgx0MA8ppJDA6gRwTwqRHVneFbBPNbCs7wDn8E8"
-    "fPrJoLzrwTyfkVm2Kz3CPKWqSa71k8I88BFEiuPwwjxe98wn7lTDPGG4yMdOwcM8YhPkZpc3xDzRUUfN"
-    "17nEPPZzzzzYSsU80hNz4XruxTxyv0ttZ6rGPC/G6tZQh8c8Ge3y5p+TyDyFe0gN3OnJPPxx2lGew8s8"
-    "g7t+KdnJzjw="
-)
-
 
 @functools.cache
 def _ziggurat() -> tuple[np.ndarray, np.ndarray]:
-    """we_double, and per layer a lower bound on numpy's fast-path threshold ke_double.
+    """numpy's we_double, and per layer a lower bound on its fast-path threshold ke_double.
 
+    Layer i's width is the draw ri = 1 in it: one PCG64 is set through its
+    public state so that its next outputs are 1 << 11 | i << 3, then 1 (a
+    state whose high word is 0 outputs its low word, and the increment links
+    the two).  U = 0 after it makes layer 1, which has no fast path, accept.
     numpy's ke[i] is floor(2**53 * we[i-1] / we[i]) give or take 3 (ke[0]
     uses we[255] / we[0], and ke[1] is 0); the bound stays 2**10 below that.
     """
-    we = np.frombuffer(binascii.a2b_base64(_ZIGGURAT_WE), "<f8")
+    bit_generator, inverse, we = np.random.PCG64(0), pow(_PCG_MULT, -1, 1 << 128), np.empty(256)
+    rng, state = np.random.Generator(bit_generator), bit_generator.state
+    for layer in range(256):
+        first = 1 << 11 | layer << 3
+        inc = (1 - first * _PCG_MULT) & _U128  # the next two states are (0, first) and (0, 1)
+        state["state"] = {"state": (first - inc) * inverse & _U128, "inc": inc}
+        bit_generator.state = state
+        we[layer] = rng.standard_exponential()
     ke = np.floor(np.roll(we, 1) / we * 2.0**53) - 2.0**10
     ke[1] = 0.0
     return we, ke.clip(0.0).astype(np.uint64)

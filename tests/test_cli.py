@@ -334,6 +334,37 @@ class TestEmbedScenario:
         flow = read_flow(out / "flows" / "flow_00000.txt")
         assert flow.duration >= 0.9 + 20 * 0.9
 
+    def test_duration_short_of_the_window_end_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "emb.ini"
+        cfg.write_text("[flow]\nmodel = poisson\nrate = 3.0\nduration = 1.0\n\n" + WATERMARK_SECTION)
+        out = tmp_path / "out"
+        rc = run_cli("embed", "--config", cfg, "--out", out, "--seed", "5", "--trials", "2")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [flow] duration 1.0 is shorter than the watermark window end 18.45\n"
+        )
+        assert not out.exists()  # no flow file written
+
+
+# The sections besides [flow] that each scenario drawing flows needs.
+DRAWING_SECTIONS = {
+    "generate": "",
+    "embed": WATERMARK_SECTION,
+    "montecarlo": ATTACK_SECTION + "\n[experiment]\nk = 5\n",
+}
+
+
+@pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("scenario", DRAWING_SECTIONS)
+def test_bad_flow_duration_is_a_one_line_config_error(tmp_path, capsys, scenario, duration):
+    flow = f"[flow]\nmodel = poisson\nrate = 3.0\nduration = {duration}\n\n"
+    cfg = tmp_path / "flow.ini"
+    cfg.write_text(flow + DRAWING_SECTIONS[scenario])
+    rc = run_cli(scenario, "--config", cfg, "--out", tmp_path / "o", "--seed", "7", "--trials", "1")
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: [flow] duration must be positive")
+
 
 class TestDetectScenario:
     def test_detects_marked_flows(self, tmp_path, marked_setup):

@@ -44,14 +44,26 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["line 1: Sequence", "line 2: np"]
 
 
+def run_fresh(code: str) -> str:
+    """What code prints to stdout in a fresh interpreter that imports this flowmark."""
+    src = str(Path(flowmark.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_importing_the_cli_leaves_numpy_random_out():
     # Every CLI call pays for its imports; seeds registers its block seed
     # with numpy.random at first use for the same reason.
     code = "import sys, flowmark.cli; print(any(m.startswith('numpy.random') for m in sys.modules))"
-    src = str(Path(flowmark.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+    assert run_fresh(code) == "False\n"
+
+
+def test_importing_the_cli_leaves_the_ziggurat_unread():
+    # The layer widths are read from numpy at first draw, not at import.
+    code = "import flowmark.cli; print(flowmark.seeds._ziggurat.cache_info().currsize)"
+    assert run_fresh(code) == "0\n"
 
 
 def own_docstrings() -> dict[str, bool]:

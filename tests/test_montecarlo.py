@@ -272,6 +272,20 @@ class TestGenerationMatchesScalarLoop:
         assert end.duration > 0.9 and block.durations[4] == end.duration
         assert len(empty) == 0 and block.counts[5] == 0
 
+    @pytest.mark.parametrize("duration, count", [(0.9, PASS_MIN_ROWS), (15.3, len(MODES))])
+    def test_a_block_seeds_each_drawn_row_once(self, duration, count):
+        # short and shorter rows need more chunks; their generators go on.
+        seeds = [derive_seed(5, "once", i) for i in range(count)]
+        modes = dict(zip(seeds, MODES * count))
+        with injected(modes, duration):
+            spy = mock.patch.object(flow_model, "seeded_generators", wraps=flow_model.seeded_generators)
+            with spy as seeded_generators:
+                block = generate_block(MODEL, duration, seeds)
+            expected = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
+        assert seeded_generators.call_count == 1
+        assert all(map(same_flow, block_rows(block), expected))
+        assert block.arrivals.shape[1] > draw_width(MODEL, duration)  # top-up chunks were drawn
+
     @pytest.mark.parametrize("duration", DURATIONS)
     def test_empty_rows_start_at_the_first_reachable_time(self, duration):
         rng = InjectedRng(None, "empty", duration, SCALE)

@@ -282,7 +282,7 @@ class TestDerivation:
 
 
 def test_block_seed_asked_for_other_words_is_a_toolkit_error():
-    block_seed = seeds._BlockSeed(seeds._pcg64_words([1])[0])
+    block_seed = seeds._BlockSeed(seeds._pcg64_words([1]))
     with pytest.raises(BadParameter) as info:
         block_seed.generate_state(8, np.uint32)
     assert isinstance(info.value, FlowmarkError) and isinstance(info.value, ValueError)
