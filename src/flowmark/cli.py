@@ -190,9 +190,15 @@ def _scenario_generate(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
 def _scenario_embed(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     model = _poisson_model(cfg)
     params = from_section(WatermarkParams, cfg, "watermark")
+    try:
+        sweep_end = params.o_max + params.n * params.T
+    except OverflowError:  # an integer n past the float range
+        sweep_end = math.inf
+    if sweep_end == math.inf:
+        raise ConfigError("[watermark] window end o_max + n * T is not a finite number")
     # Default duration covers the detector sweep, not just the embedder.
-    duration = _flow_duration(cfg, params.o_max + params.n * params.T)
-    window_end = params.o + params.n * params.T
+    duration = _flow_duration(cfg, sweep_end)
+    window_end = params.o + params.n * params.T  # at most sweep_end, as o <= o_max
     if duration < window_end:
         raise ConfigError(
             f"[flow] duration {duration!r} is shorter than the watermark window end {window_end!r}"
@@ -347,8 +353,9 @@ def _scenario_bounds(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
 def _scenario_montecarlo(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     acfg = from_section(AttackConfig, cfg, "attack")
     model = _poisson_model(cfg)
-    # Default span is one interval so each offset assignment contributes a
-    # single alignment, matching the analytic bound's accounting.
+    # Default span is one interval.  The window still slides across it, so an
+    # offset assignment holds more alignments than the bound's one per
+    # assignment: the bound can undercount (ROADMAP item 1).
     duration = _flow_duration(cfg, acfg.T)
     trials = _resolve_trials(args, cfg)
     seed = _require_seed(args)

@@ -3,7 +3,10 @@
 If several flows carry the same interval watermark, their cleared intervals
 line up once each flow's unknown offset is guessed.  The attack therefore
 searches, over per-flow offset guesses from a step-delta grid, for a window
-of length at least T - delta that is packet-free in every flow.  Windows are
+of length at least T - delta that is packet-free in every flow.  Every method
+runs one branch-and-bound search over its own offset grid; exhaustive reports
+the count a lexicographic enumeration would make, computed from the hit, and
+is capped at EXHAUSTIVE_CAP assignments.  Windows are
 snapped inward to a small time quantum, in one vectorised numpy pass over
 all flows covering every offset shift, so the grid search can only shrink
 what is really clear and never reports a window containing a packet.  The
@@ -14,12 +17,10 @@ from the same grid windows, with the search's answer but no window lists.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -69,8 +70,10 @@ class AttackFinding:
     matched_window is (start, length) on the common (offset-corrected) time
     axis, present only for positive verdicts.  configurations_searched counts
     complete assignments evaluated plus branches pruned, so it never exceeds
-    multiplier ** k.  fp_bound_at_k is the analytic bound for the searched
-    configuration.
+    multiplier ** k; for the exhaustive method it is what a lexicographic
+    enumeration would count: the hit's rank + 1, or multiplier ** k when
+    absent, computed from the branch-and-bound hit.  fp_bound_at_k is the
+    analytic bound for the searched configuration.
     """
 
     present: bool
@@ -255,19 +258,17 @@ def _window_lists(
     return [runs[i : i + n] for i in range(0, len(runs), n)]
 
 
-# A list search's outcome: configurations searched, then the first common
-# grid window and the offset index of each flow, or None twice when absent.
-SearchResult = tuple[int, Optional[tuple[int, int]], Optional[Sequence[int]]]
-
-
-def _bnb(lists: Sequence[list], min_units: int) -> SearchResult:
+def _bnb(
+    lists: Sequence[list], min_units: int
+) -> tuple[int, Optional[tuple[int, int]], Optional[list[int]]]:
     """Branch-and-bound over per-flow offsets, flow by flow, without recursion.
 
-    Assignments are explored in lexicographic order of offset index, the
-    order of the exhaustive search, so the first hit is the same.  A branch
-    dies as soon as the windows common to the flows so far are empty, so
-    whole sub-spaces vanish without enumeration.  The count is of pruned
-    branches plus complete assignments reached.
+    Assignments are explored in lexicographic order of offset index, so the
+    first hit is the one a full enumeration would find.  A branch dies as
+    soon as the windows common to the flows so far are empty, so whole
+    sub-spaces vanish without enumeration.  Returns the count of pruned
+    branches plus complete assignments reached, then the first common grid
+    window and the offset index of each flow, or None twice when absent.
     """
     k, count = len(lists), len(lists[0])
     searched = 0
@@ -295,22 +296,6 @@ def _bnb(lists: Sequence[list], min_units: int) -> SearchResult:
     return searched, None, None
 
 
-def _exhaustive(lists: Sequence[list], min_units: int) -> SearchResult:
-    """Every per-flow offset assignment in lexicographic order, up to the first hit."""
-    k, count = len(lists), len(lists[0])
-    searched = 0
-    for assignment in itertools.product(range(count), repeat=k):
-        searched += 1
-        common = lists[0][assignment[0]]
-        for fi in range(1, k):
-            if not common:
-                break
-            common = _intersect(common, lists[fi][assignment[fi]], min_units)
-        if common:
-            return searched, common[0], assignment
-    return searched, None, None
-
-
 def _offset_grid(cfg: AttackConfig) -> list[float]:
     count = check_offset_count(offset_multiplier(cfg.o_max, cfg.delta))
     return [i * cfg.delta for i in range(count)]
@@ -318,24 +303,17 @@ def _offset_grid(cfg: AttackConfig) -> list[float]:
 
 EXHAUSTIVE_CAP = 10**6
 
-# Attack methods by name: the offsets each tries per flow, and its search.
-METHODS = {
-    "fixed": (lambda cfg: [0.0], _bnb),
-    "exhaustive": (_offset_grid, _exhaustive),
-    "bnb": (_offset_grid, _bnb),
-}
+# Attack methods by name: the offsets each tries per flow.
+METHODS = {"fixed": lambda cfg: [0.0], "exhaustive": _offset_grid, "bnb": _offset_grid}
 
 
-def attack_plan(
-    method: str, cfg: AttackConfig, k: int
-) -> tuple[list[float], Callable[[Sequence[list]], SearchResult]]:
-    """Offset grid of the named method, and its search over k flows' window lists."""
+def attack_plan(method: str, cfg: AttackConfig, k: int) -> list[float]:
+    """Offset grid of the named method for an attack on k flows."""
     if method not in METHODS:
         raise BadParameter(f"unknown attack method {method!r}; expected one of {sorted(METHODS)}")
     if k < 1:
         raise BadParameter("attack needs at least one flow")
-    grid, search = METHODS[method]
-    return grid(cfg), functools.partial(search, min_units=_min_units(cfg))
+    return METHODS[method](cfg)
 
 
 def attack(
@@ -346,19 +324,21 @@ def attack(
     clear_prob: Optional[float] = None,
     names: Optional[Sequence[object]] = None,
 ) -> AttackFinding:
-    """Run the named method of METHODS on the flows.
+    """Run the branch-and-bound search over the named method's offsets on the flows.
 
     The bound uses multiplier len(offsets), the method's offsets per flow,
     and clear_prob, else the flows' mean estimate, taken before the search
     (an error there or in the span guard names flow i by names[i], such as
     its file, or its index).  The exhaustive method errors if its
-    multiplier ** k space exceeds EXHAUSTIVE_CAP.
+    multiplier ** k space exceeds EXHAUSTIVE_CAP, and counts the
+    assignments a lexicographic enumeration would try up to the hit.
     """
     k = len(flows)
-    offsets, search = attack_plan(method, cfg, k)
-    if method == "exhaustive" and (space := len(offsets) ** k) > EXHAUSTIVE_CAP:
+    offsets = attack_plan(method, cfg, k)
+    m = len(offsets)
+    if method == "exhaustive" and (space := m**k) > EXHAUSTIVE_CAP:
         raise SearchSpaceTooLarge(
-            f"{len(offsets)}^{k} = {space} configurations exceed the cap {EXHAUSTIVE_CAP}"
+            f"{m}^{k} = {space} configurations exceed the cap {EXHAUSTIVE_CAP}"
         )
     p = _mean_clear_probability(flows, cfg, names) if clear_prob is None else clear_prob
     try:
@@ -366,7 +346,9 @@ def attack(
     except SearchSpaceTooLarge as exc:  # the span guard, which the longest flow fails
         i = max(range(k), key=lambda i: flows[i].duration)
         raise SearchSpaceTooLarge(f"{names[i] if names else f'flow {i}'}: {exc}") from None
-    searched, window, path = search(lists)
+    searched, window, path = _bnb(lists, _min_units(cfg))
+    if method == "exhaustive":  # the hit's lexicographic rank + 1, or every assignment
+        searched = m**k if path is None else 1 + sum(i * m**d for d, i in enumerate(path[::-1]))
     matched = assignment = None
     if window is not None:
         lo, hi = window
@@ -377,7 +359,7 @@ def attack(
         matched_window=matched,
         offset_assignment=assignment,
         configurations_searched=searched,
-        fp_bound_at_k=fp_bound(k, p, len(offsets)).clamped,
+        fp_bound_at_k=fp_bound(k, p, m).clamped,
     )
 
 
@@ -396,11 +378,12 @@ def mfa_fixed_offset(
 def mfa_varied_offset_exhaustive(
     flows: Sequence[Flow], cfg: AttackConfig, *, clear_prob: Optional[float] = None
 ) -> AttackFinding:
-    """Try every per-flow offset assignment in lexicographic order.
+    """The first per-flow offset assignment, in lexicographic order, with a common clear window.
 
-    Stops at the first assignment exhibiting a common clear window; errors
-    if the multiplier ** k space exceeds EXHAUSTIVE_CAP.  This is the
-    reference enumeration the branch-and-bound search is checked against.
+    The branch-and-bound search finds it; configurations_searched is what
+    enumerating every assignment in that order would count up to it (all
+    multiplier ** k when absent).  Errors if that space exceeds
+    EXHAUSTIVE_CAP.
     """
     return attack("exhaustive", flows, cfg, clear_prob=clear_prob)
 
@@ -411,7 +394,7 @@ def mfa_varied_offset_bnb(
     """Branch-and-bound over the step-delta offset grid, flow by flow.
 
     Same verdicts and, when present, the same window and assignment as the
-    exhaustive search, with no cap on the search space and no recursion, so
+    exhaustive method, with no cap on the search space and no recursion, so
     any k that min_flows prescribes can be searched.
     """
     return attack("bnb", flows, cfg, clear_prob=clear_prob)

@@ -155,7 +155,7 @@ def monte_carlo_attack(
     if trials < 1:
         raise BadParameter(f"trials must be positive, got {trials}")
     width = draw_width(model, duration)
-    offsets, _ = attack_plan(method, cfg, k)
+    offsets = attack_plan(method, cfg, k)
     bound = fp_bound(k, clear_prob, len(offsets)).clamped
     per_block = max(1, _BLOCK_CELLS // (len(offsets) * (width + 2)))
     hits = 0
@@ -183,9 +183,9 @@ def monte_carlo_case(
 
     Each trial draws k independent Poisson flows calibrated so a window of
     length T - delta is clear with probability `clear_prob`, then runs the
-    varied-offset attack. Flows span a single interval length so that each
-    candidate offset assignment contributes one alignment, matching the
-    per-assignment accounting of the analytic bound.
+    varied-offset attack. Flows span a single interval length, but the window
+    still slides across it, so an offset assignment holds more alignments
+    than the analytic bound's one per assignment (ROADMAP item 1).
     """
     cfg = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
     model = PoissonModel(poisson_rate_for_clear_probability(clear_prob, cfg.min_length))

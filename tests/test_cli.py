@@ -26,8 +26,9 @@ from flowmark.cli import (
 from flowmark.config import SECTIONS, from_section, get, model_from_config, to_section
 from flowmark.errors import ConfigError
 from flowmark.flow_model import PoissonModel, generate_flow, read_flow, write_flow
-from flowmark.mfa import read_manifest
+from flowmark.mfa import AttackConfig, _offset_grid, read_manifest
 from flowmark.watermark import WatermarkParams
+from search_oracle import enumerate_assignments
 
 GEN_INI = """[flow]
 model = poisson
@@ -345,6 +346,23 @@ class TestEmbedScenario:
         )
         assert not out.exists()  # no flow file written
 
+    @pytest.mark.parametrize("duration", ["", "duration = 5.0\n"])
+    @pytest.mark.parametrize("T, n", [("0.9", "1" + "0" * 320), ("1e10", "1" + "0" * 300)])
+    def test_window_end_past_the_float_range_is_a_config_error(
+        self, tmp_path, capsys, duration, T, n
+    ):
+        # An integer n past the float range, and a product n * T that overflows to inf.
+        section = WATERMARK_SECTION.replace("T = 0.9", f"T = {T}").replace("n = 20", f"n = {n}")
+        cfg = tmp_path / "emb.ini"
+        cfg.write_text(f"[flow]\nmodel = poisson\nrate = 3.0\n{duration}\n" + section)
+        out = tmp_path / "out"
+        rc = run_cli("embed", "--config", cfg, "--out", out, "--seed", "5", "--trials", "1")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [watermark] window end o_max + n * T is not a finite number\n"
+        )
+        assert not out.exists()
+
 
 # The sections besides [flow] that each scenario drawing flows needs.
 DRAWING_SECTIONS = {
@@ -407,7 +425,10 @@ class TestAttackScenario:
         )
 
     def test_methods_agree(self, tmp_path, marked_setup):
-        results = {}
+        acfg = from_section(AttackConfig, parse_config(ATTACK_SECTION), "attack")
+        flows = [read_flow(path) for path in read_manifest(marked_setup)]
+        tried, window, assignment = enumerate_assignments(flows, acfg, _offset_grid(acfg))
+        assert window is not None
         for method in ("exhaustive", "bnb"):
             cfg = tmp_path / f"{method}.ini"
             cfg.write_text(
@@ -416,13 +437,12 @@ class TestAttackScenario:
             )
             out = tmp_path / method
             assert run_cli("attack", "--config", cfg, "--out", out) == EXIT_OK
-            results[method] = json.loads((out / "report.json").read_text())["results"]
-        assert results["bnb"]["present"] == results["exhaustive"]["present"]
-        assert results["bnb"]["window_start"] == results["exhaustive"]["window_start"]
-        assert (
-            results["bnb"]["offset_assignment"]
-            == results["exhaustive"]["offset_assignment"]
-        )
+            results = json.loads((out / "report.json").read_text())["results"]
+            assert results["present"]
+            assert (results["window_start"], results["window_length"]) == window
+            assert results["offset_assignment"] == ";".join(map(repr, assignment))
+            searched = results["configurations_searched"]
+            assert searched == tried if method == "exhaustive" else searched <= tried
 
     def test_delta_equal_to_interval_claims_nothing(self, tmp_path, marked_setup):
         cfg = tmp_path / "atk.ini"

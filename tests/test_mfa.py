@@ -30,6 +30,7 @@ from flowmark.analysis import ceil_snapped
 from flowmark.errors import BadParameter, FlowmarkError, SearchSpaceTooLarge
 from flowmark.mfa import _offset_grid, _window_lists, attack, attack_plan
 from flowmark.repro import monte_carlo_attack
+from search_oracle import assert_is_the_enumeration, enumerate_assignments
 
 REFERENCE_CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
 
@@ -328,7 +329,9 @@ class TestFixedOffset:
         """Unwatermarked traffic: measured hit rate vs the analytic ceiling.
 
         Ten flows calibrated to a 0.33 clear probability; each spans a
-        single interval so one alignment is checked per trial.
+        single interval, and the 39/40 T window can hardly slide across it.
+        A window that slides holds more alignments than the bound's one
+        per assignment (ROADMAP item 1).
         """
         lam = poisson_rate_for_clear_probability(0.33, 0.35)
         cfg = AttackConfig(T=0.35, delta=0.35 / 40, o_max=0.0, epsilon=1e-3)
@@ -364,9 +367,9 @@ class TestVariedOffset:
         flows = [carved_flow(0.0) for _ in range(3)]
         fixed = mfa_fixed_offset(flows, cfg, clear_prob=0.276)
         varied = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=0.276)
-        assert varied.present == fixed.present
-        assert varied.matched_window == fixed.matched_window
-        assert varied.offset_assignment == fixed.offset_assignment
+        assert fixed.present
+        for finding in (fixed, varied):
+            assert_is_the_enumeration(finding, flows, cfg, [0.0], counted=True)
         assert varied.fp_bound_at_k == fixed.fp_bound_at_k
 
     def test_search_space_cap(self):
@@ -461,23 +464,13 @@ class TestBranchAndBoundAgreesWithExhaustive:
 
         ex = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=0.3)
         bb = mfa_varied_offset_bnb(flows, cfg, clear_prob=0.3)
-        assert bb.present == ex.present
-        assert bb.matched_window == ex.matched_window
-        assert bb.offset_assignment == ex.offset_assignment
+        offsets = _offset_grid(cfg)
+        assert_is_the_enumeration(ex, flows, cfg, offsets, counted=True)
+        assert_is_the_enumeration(bb, flows, cfg, offsets, counted=False)
         assert bb.fp_bound_at_k == ex.fp_bound_at_k
-        space = offset_multiplier(o_max, delta) ** k
-        assert bb.configurations_searched <= space
-        assert ex.configurations_searched <= space
-        assert bb.configurations_searched <= ex.configurations_searched
+        assert ex.configurations_searched <= offset_multiplier(o_max, delta) ** k
         if ex.present:
             assert_window_sound(ex, flows, cfg)
-
-
-def assert_same_finding(a, b) -> None:
-    assert a.present == b.present
-    assert a.matched_window == b.matched_window
-    assert a.offset_assignment == b.offset_assignment
-    assert a.fp_bound_at_k == b.fp_bound_at_k
 
 
 class TestSearchesAgreeWithTheOracle:
@@ -486,20 +479,32 @@ class TestSearchesAgreeWithTheOracle:
     def test_fixed_offset_is_the_oracle_at_zero_spread(self, instance, clear_prob):
         cfg, _, flows = instance
         fixed = mfa_fixed_offset(flows, cfg, clear_prob=clear_prob)
-        oracle = mfa_varied_offset_exhaustive(
-            flows, dataclasses.replace(cfg, o_max=0.0), clear_prob=clear_prob
-        )
-        assert_same_finding(fixed, oracle)
+        assert_is_the_enumeration(fixed, flows, cfg, [0.0], counted=True)
         assert fixed.configurations_searched == 1
+        zero_spread = dataclasses.replace(cfg, o_max=0.0)
+        oracle = mfa_varied_offset_exhaustive(flows, zero_spread, clear_prob=clear_prob)
+        assert fixed.fp_bound_at_k == oracle.fp_bound_at_k
 
     @settings(deadline=None)
     @given(instance=attack_instances(), clear_prob=st.one_of(st.none(), st.floats(0.0, 1.0)))
     def test_bnb_is_the_oracle(self, instance, clear_prob):
-        cfg, _, flows = instance
+        cfg, shifts, flows = instance
         bb = mfa_varied_offset_bnb(flows, cfg, clear_prob=clear_prob)
+        assert_is_the_enumeration(bb, flows, cfg, shifts, counted=False)
         ex = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=clear_prob)
-        assert_same_finding(bb, ex)
-        assert bb.configurations_searched <= ex.configurations_searched
+        assert bb.fp_bound_at_k == ex.fp_bound_at_k
+
+    @settings(deadline=None)
+    @given(instance=attack_instances())
+    def test_exhaustive_counts_the_enumeration(self, instance):
+        cfg, shifts, flows = instance
+        ex = attack("exhaustive", flows, cfg, clear_prob=0.5)
+        tried, window, assignment = enumerate_assignments(flows, cfg, shifts)
+        assert (ex.matched_window, ex.offset_assignment) == (window, assignment)
+        assert ex.configurations_searched == tried
+        if not ex.present:
+            assert tried == len(shifts) ** len(flows)
+        assert attack("bnb", flows, cfg, clear_prob=0.5).configurations_searched <= tried
 
     def test_bnb_reaches_the_depth_min_flows_prescribes(self):
         k = min_flows(1e-5, 0.9, 0.45, 0.4999).min_k

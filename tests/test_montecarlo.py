@@ -336,11 +336,10 @@ def block_verdicts(block: FlowBlock, cfg, shifts, k: int) -> np.ndarray:
     return present
 
 
-def list_verdicts(flows, cfg, shifts, k, search=None) -> list[bool]:
+def list_verdicts(flows, cfg, shifts, k) -> list[bool]:
     """Per trial of k consecutive flows: did the list search find a common window?"""
-    search = search or (lambda lists: _bnb(lists, _min_units(cfg)))
     lists = _window_lists(flows, cfg, shifts)
-    return [search(lists[j : j + k])[1] is not None for j in range(0, len(flows), k)]
+    return [_bnb(lists[j : j + k], _min_units(cfg))[1] is not None for j in range(0, len(flows), k)]
 
 
 @st.composite
@@ -365,14 +364,12 @@ class TestBlockVerdictsMatchListSearches:
     def test_verdicts(self, case, o_max, p, delta):
         method, k, (duration, seeds, modes) = case
         cfg = AttackConfig(T=0.9, delta=delta, o_max=o_max, epsilon=1e-5)
-        shifts, search = attack_plan(method, cfg, k)
+        shifts = attack_plan(method, cfg, k)
         model = PoissonModel(poisson_rate_for_clear_probability(p, 0.45))
         with injected(modes, duration, 1.0 / model.rate):
             block = generate_block(model, duration, seeds)
             flows = [reference_generate_flow(model, duration, seed) for seed in seeds]
-        verdicts = block_verdicts(block, cfg, shifts, k).tolist()
-        assert verdicts == list_verdicts(flows, cfg, shifts, k)
-        assert verdicts == list_verdicts(flows, cfg, shifts, k, search)
+        assert block_verdicts(block, cfg, shifts, k).tolist() == list_verdicts(flows, cfg, shifts, k)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5])
     def test_grown_duration_stays_with_its_flow(self, k):
@@ -573,7 +570,7 @@ class TestDriverMatchesPerTrialLoop:
         # trial per block, and every trial in one block.  A block's budget
         # holds one flow of each of its trials.
         args = (method, CFG, MODEL, duration, 5, trials, 2, 0.276)
-        cells = len(attack_plan(method, CFG, 5)[0]) * (draw_width(MODEL, duration) + 2)
+        cells = len(attack_plan(method, CFG, 5)) * (draw_width(MODEL, duration) + 2)
         assert 1 < -(-trials * cells // repro._BLOCK_CELLS) <= 3
         expected = monte_carlo_attack(*args)
         for budget in (1, 2 * trials * cells):
