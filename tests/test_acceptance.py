@@ -205,11 +205,12 @@ def test_criterion_09_branch_and_bound_matches_exhaustive():
         ex = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=0.3)
         bb = mfa_varied_offset_bnb(flows, cfg, clear_prob=0.3)
         tried, window, assignment = enumerate_assignments(flows, cfg, _offset_grid(cfg))
-        agree += all(
-            (f.present, f.matched_window, f.offset_assignment)
-            == (window is not None, window, assignment)
-            for f in (ex, bb)
-        ) and bb.configurations_searched <= ex.configurations_searched == tried
+        hit = (window is not None, window, assignment)
+        agree += (
+            all((f.present, f.matched_window, f.offset_assignment) == hit for f in (ex, bb))
+            and ex.configurations_searched == tried
+            and bb.configurations_searched <= tried
+        )
     elapsed = time.perf_counter() - start
     ok = agree == instances and elapsed < 60.0
     _report(9, ok, f"{agree}/{instances} instances agree with the enumeration, {elapsed:.2f} s")

@@ -482,8 +482,8 @@ class TestSearchesAgreeWithTheOracle:
         assert_is_the_enumeration(fixed, flows, cfg, [0.0], counted=True)
         assert fixed.configurations_searched == 1
         zero_spread = dataclasses.replace(cfg, o_max=0.0)
-        oracle = mfa_varied_offset_exhaustive(flows, zero_spread, clear_prob=clear_prob)
-        assert fixed.fp_bound_at_k == oracle.fp_bound_at_k
+        varied = mfa_varied_offset_exhaustive(flows, zero_spread, clear_prob=clear_prob)
+        assert fixed.fp_bound_at_k == varied.fp_bound_at_k
 
     @settings(deadline=None)
     @given(instance=attack_instances(), clear_prob=st.one_of(st.none(), st.floats(0.0, 1.0)))
