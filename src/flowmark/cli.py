@@ -45,7 +45,7 @@ from .flow_model import (
     read_flow,
     write_flow,
 )
-from .mfa import METHODS, AttackConfig, attack, read_manifest
+from .mfa import METHODS, AttackConfig, attack, attack_plan, read_manifest
 from .repro import REPRO_DEFAULT_SEED, REPRO_DEFAULT_TRIALS, all_cases, monte_carlo_attack
 from .seeds import check_seed, derive_seed
 from .watermark import WatermarkParams, detect, embed
@@ -364,12 +364,13 @@ def _scenario_montecarlo(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
 
     k = get(cfg, "experiment", "k", None)
     if k is None:
-        verdict = min_flows(acfg.epsilon, acfg.o_max, acfg.delta, p)
+        # The bound's multiplier is the method's offsets per flow: one, or ceil(o_max / delta).
+        one_offset = len(attack_plan(method, acfg, 1)) == 1
+        verdict = min_flows(acfg.epsilon, 0.0 if one_offset else acfg.o_max, acfg.delta, p)
         if not verdict.feasible:
             raise InfeasibleScenario(
                 f"no flow count meets epsilon={acfg.epsilon!r}: per-flow base "
-                f"{verdict.base!r} is not below 1 (offsets up to {acfg.o_max!r} "
-                f"are too small for delta={acfg.delta!r})"
+                f"{verdict.base!r} = {verdict.multiplier} offsets x p={p!r} is not below 1"
             )
         k = verdict.min_k
     elif k <= 0:

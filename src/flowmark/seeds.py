@@ -7,17 +7,17 @@ unrelated work never changes the stream an existing trial sees.
 
 The stream of a seed is that of np.random.default_rng(seed).
 seeded_generators runs default_rng's SeedSequence mixing for many seeds in
-one numpy pass and hands each seed's words to PCG64; at first use it checks
-itself against default_rng and, if numpy's seeding differs, falls back to
-default_rng for the rest of the process.
+one numpy pass and hands each seed's words to PCG64.
 
 block_exponentials goes on from those words to the first standard
 exponentials of every seed at once: PCG64's state after j steps is linear in
 its seed words, and most draws take the exponential ziggurat's fast path,
 which reads one output.  The ziggurat's layer widths are read from numpy at
 first use, by one draw per layer from a PCG64 set to output that layer.  It
-marks the draws it is sure of and, if its own first-use check against
-default_rng fails, marks none.
+marks the draws it is sure of.
+
+Both rest on one first-use check against default_rng on a few known seeds;
+if it fails, every seed goes through default_rng and no block draw is sure.
 """
 
 from __future__ import annotations
@@ -210,26 +210,6 @@ def _block_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
 _KNOWN_SEEDS = (0, 1, 2**32 - 1, 2**32, _SEED_MASK)
 # Fewer seeds than this are seeded faster one default_rng at a time.
 _BLOCK_MIN = 8
-_block_seeding: bool | None = None  # whether block seeding matches numpy; None: not checked yet
-
-
-def _same_stream(rng: np.random.Generator, reference: np.random.Generator) -> bool:
-    return rng.bit_generator.state == reference.bit_generator.state and np.array_equal(
-        rng.exponential(size=4), reference.exponential(size=4)
-    )
-
-
-def _block_seeding_matches() -> bool:
-    """At first call, compare block seeding with default_rng on _KNOWN_SEEDS."""
-    global _block_seeding
-    if _block_seeding is None:
-        try:
-            rngs = list(_block_generators(_KNOWN_SEEDS))
-        except (TypeError, ValueError):  # a PCG64 that asks for other words
-            _block_seeding = False
-        else:
-            _block_seeding = all(map(_same_stream, rngs, map(np.random.default_rng, _KNOWN_SEEDS)))
-    return _block_seeding
 
 
 def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
@@ -239,7 +219,7 @@ def seeded_generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     SeedSequence mixing runs in one numpy pass.
     """
     checked = check_seeds(seeds)
-    if len(checked) < _BLOCK_MIN or not _block_seeding_matches():
+    if len(checked) < _BLOCK_MIN or not _matches_numpy():
         return map(np.random.default_rng, checked)
     return _block_generators(checked)
 
@@ -301,7 +281,7 @@ def _mul128(hi: np.ndarray, lo: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _block_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """block_exponentials of checked seeds, without its self-check."""
+    """block_exponentials of checked seeds, without the first-use check."""
     # One column per seed while computing: numpy loops fastest over the long axis.
     s_hi, s_lo, seq_hi, seq_lo = _pcg64_words(seeds).T[:, None]
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
@@ -323,17 +303,24 @@ def _block_draws(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(draws.T), np.ascontiguousarray(sure.T)
 
 
-_block_drawing: bool | None = None  # whether block draws match numpy; None: not checked yet
+@functools.cache
+def _matches_numpy() -> bool:
+    """Whether block seeding and block draws give default_rng's streams on _KNOWN_SEEDS.
 
-
-def _block_drawing_matches() -> bool:
-    """At first call, compare block draws with default_rng on _KNOWN_SEEDS."""
-    global _block_drawing
-    if _block_drawing is None:
-        draws, sure = _block_draws(_KNOWN_SEEDS, 128)
-        expected = np.array([np.random.default_rng(s).standard_exponential(128) for s in _KNOWN_SEEDS])
-        _block_drawing = np.array_equal(draws[sure], expected[sure])
-    return _block_drawing
+    Checked once per process, at first use: the block generators' states
+    must equal default_rng's, and the sure ones of 128 block draws must be
+    its first exponentials.  Equal states make equal streams.
+    """
+    expected = list(map(np.random.default_rng, _KNOWN_SEEDS))
+    try:
+        rngs = list(_block_generators(_KNOWN_SEEDS))
+    except (TypeError, ValueError):  # a PCG64 that asks for other words
+        return False
+    if [rng.bit_generator.state for rng in rngs] != [rng.bit_generator.state for rng in expected]:
+        return False
+    draws, sure = _block_draws(_KNOWN_SEEDS, 128)
+    first = np.array([rng.standard_exponential(128) for rng in expected])
+    return np.array_equal(draws[sure], first[sure])
 
 
 def block_exponentials(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,5 +335,5 @@ def block_exponentials(seeds: Sequence[int], n: int) -> tuple[np.ndarray, np.nda
     sure for the rest of the process.
     """
     draws, sure = _block_draws(check_seeds(seeds), n)
-    sure &= _block_drawing_matches()
+    sure &= _matches_numpy()
     return draws, sure

@@ -170,7 +170,7 @@ class TestMinFlows:
         if k > 1:
             assert base ** (k - 1) >= epsilon
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         epsilon=st.floats(1e-12, 0.99),
         o_max=st.floats(0.0, 2.0),

@@ -25,7 +25,7 @@ from flowmark.cli import (
 )
 from flowmark.config import SECTIONS, from_section, get, model_from_config, to_section
 from flowmark.errors import ConfigError
-from flowmark.flow_model import PoissonModel, generate_flow, read_flow, write_flow
+from flowmark.flow_model import PoissonModel, clear_probability, generate_flow, read_flow, write_flow
 from flowmark.mfa import AttackConfig, _offset_grid, read_manifest
 from flowmark.watermark import WatermarkParams
 from search_oracle import enumerate_assignments
@@ -719,6 +719,35 @@ class TestMonteCarloScenario:
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["k"] == 20
 
+    @pytest.mark.parametrize("o_max", ["0.9", "1.8"])
+    def test_fixed_k_defaults_to_its_one_offset(self, tmp_path, o_max):
+        # fixed tries one offset per flow, so its bound is p^k however far
+        # offsets spread: k = 9 gives 0.276^9 < 1e-5 > 0.276^8.
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(
+            self.MC_INI.replace("k = 5\n", "method = fixed\n")
+            .replace("trials = 200", "trials = 5")
+            .replace("o_max = 0.9", f"o_max = {o_max}")
+        )
+        out = tmp_path / "out"
+        rc = run_cli("montecarlo", "--config", cfg, "--out", out, "--seed", "3")
+        assert rc == EXIT_OK
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert (results["k"], results["method"]) == (9, "fixed")
+        assert results["fp_bound"] == fp_bound(9, results["clear_prob"]).clamped < 1e-5
+
+    def test_infeasible_message_names_the_multiplier_and_p(self, tmp_path, capsys):
+        # bnb tries ceil(1.8 / 0.45) = 4 offsets per flow, and 4 * 0.276 >= 1.
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(self.MC_INI.replace("k = 5\n", "").replace("o_max = 0.9", "o_max = 1.8"))
+        rc = run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "o", "--seed", "3")
+        assert rc == EXIT_INFEASIBLE
+        p = clear_probability(PoissonModel(2.860787585033304), 0.45)
+        assert capsys.readouterr().err == (
+            "infeasible scenario: no flow count meets epsilon=1e-05: "
+            f"per-flow base {4 * p!r} = 4 offsets x p={p!r} is not below 1\n"
+        )
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "mc.ini"
         cfg.write_text(
@@ -924,7 +953,7 @@ def fuzz_dir(tmp_path_factory):
     return base
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     scenario=st.sampled_from(["generate", "embed", "detect", "attack", "bounds", "montecarlo"]),
     text=config_bytes(),
@@ -992,7 +1021,7 @@ def flow_fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("flow-fuzz")
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     scenario=st.sampled_from(["detect", "attack"]),
     flows=st.lists(flow_file_bytes(), min_size=2, max_size=2),

@@ -120,7 +120,7 @@ def tie_heavy_lists(draw):
 
 
 class TestCanonicalTimestamps:
-    @settings(deadline=None, max_examples=500)
+    @settings(max_examples=500)
     @given(values=tie_heavy_lists())
     def test_tie_heavy_inputs_match_sequential_tie_break(self, values):
         expected = canonical_reference(values)
@@ -131,7 +131,6 @@ class TestCanonicalTimestamps:
         out = _canonical_timestamps(values)
         assert out.tobytes() == np.array(expected, dtype=float).tobytes()
 
-    @settings(deadline=None)
     @given(
         # Bounded below the largest float, where a nudged tie would overflow to inf.
         values=timestamp_lists(st.floats(-1e300, 1e300)),
@@ -143,7 +142,6 @@ class TestCanonicalTimestamps:
         assert out.tobytes() == np.array(canonical_reference(values), dtype=float).tobytes()
         assert bool(np.all(out[1:] > out[:-1]))
 
-    @settings(deadline=None)
     @given(values=timestamp_lists(st.floats(0.0, 10.0)))
     def test_flow_leaves_caller_array_alone(self, values):
         given_ts = np.array(values, dtype=float)
@@ -233,7 +231,6 @@ class TestClearProbability:
         assert model.lookup(2.0) == 0.276
         assert 0.33 < model.lookup(0.3) < 0.525
 
-    @settings(deadline=None)
     @given(
         table=st.lists(
             st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 1.0)), min_size=1, max_size=5
@@ -482,7 +479,6 @@ class TestFlowFiles:
         with pytest.raises(FlowFileError, match="ASCII"):
             read_flow(path)
 
-    @settings(deadline=None)
     @given(values=timestamp_lists(st.floats(0.0, 10.0)))
     def test_write_then_read_is_identity(self, values):
         flow = Flow(timestamps=values, duration=10.0)
@@ -493,7 +489,7 @@ class TestFlowFiles:
         assert back.timestamps.tobytes() == flow.timestamps.tobytes()
         assert back.duration == flow.duration
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(body=flow_file_bodies())
     def test_matches_per_line_parser(self, body):
         text = "# duration=10.0\n" + "\n".join(body) + "\n"

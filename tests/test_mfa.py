@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import flowmark as fm
@@ -236,7 +236,6 @@ class TestWindowsOfOneFlow:
 
 
 class TestGridWindowsMatchScalarReference:
-    @settings(deadline=None)
     @given(instance=attack_instances())
     def test_window_lists_equal_reference(self, instance):
         cfg, shifts, flows = instance
@@ -244,7 +243,6 @@ class TestGridWindowsMatchScalarReference:
             flows, cfg, shifts
         )
 
-    @settings(deadline=None)
     @given(instance=attack_instances())
     def test_no_packet_inside_a_reported_window(self, instance):
         cfg, _, flows = instance
@@ -474,7 +472,6 @@ class TestBranchAndBoundAgreesWithExhaustive:
 
 
 class TestSearchesAgreeWithTheOracle:
-    @settings(deadline=None)
     @given(instance=attack_instances(), clear_prob=st.one_of(st.none(), st.floats(0.0, 1.0)))
     def test_fixed_offset_is_the_oracle_at_zero_spread(self, instance, clear_prob):
         cfg, _, flows = instance
@@ -485,7 +482,6 @@ class TestSearchesAgreeWithTheOracle:
         varied = mfa_varied_offset_exhaustive(flows, zero_spread, clear_prob=clear_prob)
         assert fixed.fp_bound_at_k == varied.fp_bound_at_k
 
-    @settings(deadline=None)
     @given(instance=attack_instances(), clear_prob=st.one_of(st.none(), st.floats(0.0, 1.0)))
     def test_bnb_is_the_oracle(self, instance, clear_prob):
         cfg, shifts, flows = instance
@@ -494,7 +490,6 @@ class TestSearchesAgreeWithTheOracle:
         ex = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=clear_prob)
         assert bb.fp_bound_at_k == ex.fp_bound_at_k
 
-    @settings(deadline=None)
     @given(instance=attack_instances())
     def test_exhaustive_counts_the_enumeration(self, instance):
         cfg, shifts, flows = instance

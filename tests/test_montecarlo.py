@@ -203,7 +203,6 @@ def block_rows(block: FlowBlock) -> list[Flow]:
 
 
 class TestGenerationMatchesScalarLoop:
-    @settings(deadline=None)
     @given(case=seeded_flows(max_flows=5))
     def test_generate_flow(self, case):
         duration, seeds, modes = case
@@ -214,7 +213,6 @@ class TestGenerationMatchesScalarLoop:
                     reference_generate_flow(MODEL, duration, seed),
                 )
 
-    @settings(deadline=None)
     @given(case=seeded_flows())
     def test_block_rows(self, case):
         duration, seeds, modes = case
@@ -244,7 +242,6 @@ class TestGenerationMatchesScalarLoop:
             generate_block(MODEL, duration, [derive_seed(3, "pass", i) for i in range(count)])
         assert block_exponentials.called == passes
 
-    @settings(deadline=None)
     @given(
         case=seeded_flows(
             max_flows=PASS_MIN_ROWS, min_flows=PASS_MIN_ROWS - 1, durations=(0.9, *WIDTH_CUT)
@@ -293,7 +290,6 @@ class TestGenerationMatchesScalarLoop:
         assert gap * rng.scale >= duration > np.nextafter(gap, 0.0) * rng.scale
         assert (gap * rng.scale == duration) == (duration != 0.9)
 
-    @settings(deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
         scale=st.floats(1e-300, 1e300),
@@ -354,7 +350,6 @@ class TestBlockVerdictsMatchListSearches:
     # p is the clear probability of 0.45 s: at 0.5, gaps near m quanta of
     # delta = 0.45 are common.  The injected modes land where they should at
     # each of these rates.  delta = T makes m = 0.
-    @settings(deadline=None)
     @given(
         case=seeded_trials(),
         o_max=st.sampled_from([0.0, 0.45, 0.9, 1.8]),
@@ -578,7 +573,7 @@ class TestDriverMatchesPerTrialLoop:
                 assert monte_carlo_attack(*args) == expected
         assert expected == reference_monte_carlo(*args)
 
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(
         method=st.sampled_from(sorted(ATTACKS)),
         k=st.sampled_from([1, 2, 5]),

@@ -44,8 +44,14 @@ class AskingForMoreWords(seeds._BlockSeed):
         return super().generate_state(2 * n_words, dtype)
 
 
+class SwappedWords(seeds._BlockSeed):
+    """Hands PCG64 its words in the wrong order: no error, but other states."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return super().generate_state(n_words, dtype)[::-1]
+
+
 class TestBlockSeeding:
-    @settings(deadline=None)
     @given(block=st.lists(SEEDS, min_size=1, max_size=60))
     @example(block=EDGE_SEEDS)
     def test_block_words_and_states_are_default_rng_ones(self, block):
@@ -54,19 +60,18 @@ class TestBlockSeeding:
         assert words.tobytes() == np.array(expected).tobytes()
         assert states(seeds._block_generators(block)) == default_rng_states(block)
 
-    @settings(deadline=None)
     @given(block=st.lists(SEEDS, max_size=60))
     def test_generator_states_are_default_rng_states(self, block):
         assert states(seeded_generators(block)) == default_rng_states(block)
 
-    @settings(deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(block=st.lists(SEEDS, min_size=seeds._BLOCK_MIN, max_size=20))
     def test_draws_are_default_rng_draws(self, block):
         drawn = [rng.exponential(size=40).tobytes() for rng in seeded_generators(block)]
         assert drawn == [np.random.default_rng(s).exponential(size=40).tobytes() for s in block]
 
     def test_block_seeding_is_used_on_this_numpy(self):
-        assert seeds._block_seeding_matches()
+        assert seeds._matches_numpy()
         with mock.patch.object(seeds, "_block_generators", wraps=seeds._block_generators) as spy:
             list(seeded_generators(range(seeds._BLOCK_MIN - 1)))
             assert spy.call_count == 0
@@ -78,27 +83,6 @@ class TestBlockSeeding:
         for block in ([3, bad], [3] * seeds._BLOCK_MIN + [bad]):
             with pytest.raises(BadSeed):
                 seeded_generators(block)
-
-    @pytest.mark.parametrize(
-        "breakage",
-        [
-            ("_MIX_L", np.uint32(0xCA01F9DF)),  # block words differ from SeedSequence's
-            ("_BlockSeed", AskingForMoreWords),
-        ],
-        ids=["wrong-mixing", "other-words-asked"],
-    )
-    def test_failed_known_seed_check_falls_back_to_default_rng(self, breakage):
-        model, chosen = PoissonModel(2.8615), [derive_seed(4, "fallback", i) for i in range(30)]
-        expected = generate_block(model, 4.5, chosen)
-        with mock.patch.object(seeds, *breakage), mock.patch.object(seeds, "_block_seeding", None):
-            assert not seeds._block_seeding_matches()
-            with mock.patch.object(seeds, "_block_generators") as block_generators:
-                assert states(seeded_generators(EDGE_SEEDS * 2)) == default_rng_states(EDGE_SEEDS * 2)
-                fallback = generate_block(model, 4.5, chosen)
-            assert block_generators.call_count == 0
-        for got, want in zip(fallback, expected):
-            assert got.tobytes() == want.tobytes()
-        assert seeds._block_seeding_matches()
 
 
 ALL_ONES = 2**64 - 1
@@ -180,7 +164,7 @@ class TestBlockDraws:
             assert ke[layer] <= lo
             assert lo - ke[layer] <= 2**10 + 4  # close enough that few draws fall back
 
-    @settings(deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(block=st.lists(SEEDS, max_size=40), n=st.integers(0, 300))
     @example(block=EDGE_SEEDS, n=64)
     def test_sure_draws_are_default_rng_draws(self, block, n):
@@ -201,30 +185,55 @@ class TestBlockDraws:
             with pytest.raises(BadSeed):
                 block_exponentials([3, bad], 4)
 
-    @pytest.mark.parametrize(
-        "breakage",
-        [
-            ("_ziggurat", lambda: (ZIGGURAT()[0], np.full(256, 2**53, np.uint64))),
-            ("_ziggurat", lambda: (np.nextafter(ZIGGURAT()[0], np.inf), ZIGGURAT()[1])),
-            ("_MIX_L", np.uint32(0xCA01F9DF)),
-        ],
-        ids=["thresholds-too-high", "widths-one-ulp-wide", "wrong-mixing"],
-    )
-    def test_failed_known_seed_check_draws_every_row_alone(self, breakage):
-        # 100 rows of 0.9 s flows take the block pass while it is on.
-        model, chosen = PoissonModel(2.8615), [derive_seed(4, "fallback", i) for i in range(100)]
-        assert len(chosen) >= flow_model._PASS_MIN_ROWS
-        expected = generate_block(model, 0.9, chosen)
-        with mock.patch.object(seeds, *breakage), mock.patch.object(
-            seeds, "_block_drawing", None
-        ), mock.patch.object(seeds, "_block_seeding", None):
-            assert not seeds._block_drawing_matches()
-            assert not block_exponentials(chosen, 12)[1].any()
-            with mock.patch.object(flow_model, "seeded_generators", wraps=seeded_generators) as spy:
-                fallback = generate_block(model, 0.9, chosen)
-            assert spy.call_args_list[0].args == (chosen,)
-        assert block_flows(fallback) == block_flows(expected)
-        assert seeds._block_drawing_matches()
+
+@pytest.fixture
+def fresh_check():
+    """The first-use check is made afresh in the test and forgotten after it."""
+    seeds._matches_numpy.cache_clear()
+    yield
+    seeds._matches_numpy.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "breakage",
+    [
+        ("_MIX_L", np.uint32(0xCA01F9DF)),  # block words differ from SeedSequence's
+        ("_BlockSeed", AskingForMoreWords),
+        ("_ziggurat", lambda: (ZIGGURAT()[0], np.full(256, 2**53, np.uint64))),
+        ("_ziggurat", lambda: (np.nextafter(ZIGGURAT()[0], np.inf), ZIGGURAT()[1])),
+        ("_BlockSeed", SwappedWords),
+    ],
+    ids=["wrong-mixing", "other-words-asked", "thresholds-too-high", "widths-one-ulp-wide",
+         "swapped-words"],
+)
+def test_failed_known_seed_check_keeps_numpys_bits(fresh_check, breakage):
+    # 100 rows of 0.9 s flows take the block_exponentials pass while it is
+    # on; 4.5 s flows are too wide for it and seed a generator per row.
+    model, chosen = PoissonModel(2.8615), [derive_seed(4, "fallback", i) for i in range(100)]
+    assert len(chosen) >= flow_model._PASS_MIN_ROWS
+    widths = [flow_model.draw_width(model, d) for d in (0.9, 4.5)]
+    assert widths[0] <= flow_model._PASS_MAX_WIDTH < widths[1]
+    expected = [block_flows(generate_block(model, d, chosen)) for d in (0.9, 4.5)]
+    seeds._matches_numpy.cache_clear()
+    sure_drawn = []
+
+    def recorded(*args):
+        draws, sure = block_exponentials(*args)
+        sure_drawn.append(sure.any())
+        return draws, sure
+
+    with mock.patch.object(seeds, *breakage):
+        assert not seeds._matches_numpy()
+        with mock.patch.object(seeds, "_block_generators") as block_generators, mock.patch.object(
+            flow_model, "block_exponentials", recorded
+        ):
+            assert states(seeded_generators(EDGE_SEEDS * 2)) == default_rng_states(EDGE_SEEDS * 2)
+            fallback = [block_flows(generate_block(model, d, chosen)) for d in (0.9, 4.5)]
+        assert block_generators.call_count == 0
+        assert sure_drawn == [False]  # the 0.9 s block took the pass and kept no draw
+    assert fallback == expected
+    seeds._matches_numpy.cache_clear()
+    assert seeds._matches_numpy()
 
 
 class TestDerivation:

@@ -180,7 +180,7 @@ def detect_cases(draw):
 
 
 class TestEmbed:
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(case=embed_cases())
     def test_matches_per_packet_loop(self, case):
         flow, params = case
@@ -306,7 +306,7 @@ class TestOffsetCandidates:
 
 
 class TestDetect:
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(case=detect_cases())
     def test_matches_count_in_loop(self, case):
         flow, params = case
