@@ -192,9 +192,9 @@ def draw_width(model: FlowModel, duration: float) -> int:
 
 # _draw draws blocks of at least _PASS_MIN_ROWS rows, each at most
 # _PASS_MAX_WIDTH wide, first by one block_exponentials pass.  On 0.9 s rows
-# the pass broke even with a generator per row at 64 rows and took 0.8x the
-# time at 128.  Past width 32 more rows fall back than the pass saves: at
-# 15.3 s (width 86) 63% of rows did, and _draw took 2.1-2.2x as long.
+# (a pass of 7 columns) it broke even with a generator per row at 64-80 rows
+# and took 0.7-0.8x the time at 128.  Past width 32 more rows fall back than
+# the pass saves: at 15.3 s (width 86) 63% of rows did, and _draw took 2.1-2.2x as long.
 _PASS_MIN_ROWS, _PASS_MAX_WIDTH = 64, 32
 
 
@@ -205,8 +205,8 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
     its last arrival is not past duration, further chunks of a quarter of the
     last size (at least 16).  Shorter rows are padded with inf.
 
-    A block the block_exponentials pass takes draws the expected count plus 4
-    sigma plus 4 gaps of every row at once; a row whose draws are not sure up
+    A block the block_exponentials pass takes draws the expected count plus 2
+    sigma plus 2 gaps of every row at once; a row whose draws are not sure up
     to its first arrival past duration is drawn again by its own generator.
     Such a generator is seeded once and goes on for the row's later chunks.
     """
@@ -216,7 +216,7 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
     redraw = range(len(seeds))
     if len(seeds) >= _PASS_MIN_ROWS and chunk <= _PASS_MAX_WIDTH:
         expected = model.rate * duration
-        gaps, sure = block_exponentials(seeds, min(chunk, int(expected + 4.0 * math.sqrt(expected)) + 4))
+        gaps, sure = block_exponentials(seeds, min(chunk, int(expected + 2.0 * math.sqrt(expected)) + 2))
         past = np.cumsum(gaps * scale, axis=1) > duration  # as the arrivals below are summed
         arrivals[:, : gaps.shape[1]] = gaps
         arrivals[:, gaps.shape[1] :] = math.inf

@@ -24,8 +24,8 @@ from .flow_model import (
     poisson_rate_for_clear_probability,
 )
 from .errors import BadParameter
-from .mfa import AttackConfig, attack_plan, common_starts
-from .seeds import trial_heads, trial_seeds
+from .mfa import AttackConfig, CommonStarts, attack_plan, common_starts
+from .seeds import trial_seeds
 
 # Measured clear probabilities for 175 ms, 350 ms and 450 ms windows on
 # the reference trace. All headline numbers below derive from these.
@@ -117,8 +117,8 @@ def closed_form_cases(
     return cases
 
 
-# Kernel cells (offset shifts x gap edges, edges padded to the draw width)
-# per block of Monte Carlo trials, one flow each: caps common_starts' work arrays.
+# Kernel cells (offset shifts x gap edges, edges padded to the draw width) per block
+# of Monte Carlo trials, one flow each: caps each generate_block and common_starts call.
 _BLOCK_CELLS = 2**15
 
 
@@ -146,11 +146,13 @@ def monte_carlo_attack(
     Flow i of trial t is drawn from `model` over `duration` seconds with
     seed derive_seed(seed, "mc", t, i), and the attack runs with the given
     clear probability, so its bound is the same in every trial.  Trials run
-    in blocks of at most _BLOCK_CELLS kernel cells per flow (at least one
-    trial), each in k stages: stage i draws flow i of the trials still
-    alive, and common_starts keeps the grid starts their flows 0 to i share.
-    A trial left with none is absent, as the method's search would find, and
-    its later flows, which touch no other trial's seed, are never drawn.
+    in passes of k blocks of per_block trials, a block filling _BLOCK_CELLS
+    kernel cells per flow (at least one trial), so memory grows with k, not
+    with trials.  Stage i of a pass draws flow i of its live trials in equal
+    chunks of at most a block; common_starts keeps the starts their flows 0
+    to i share.  A trial left with none is absent, as the method's search
+    would find, and its later flows, which touch no other trial's seed, are
+    never drawn.
     """
     if trials < 1:
         raise BadParameter(f"trials must be positive, got {trials}")
@@ -159,13 +161,20 @@ def monte_carlo_attack(
     bound = fp_bound(k, clear_prob, len(offsets)).clamped
     per_block = max(1, _BLOCK_CELLS // (len(offsets) * (width + 2)))
     hits = 0
-    for first in range(0, trials, per_block):
-        heads = trial_heads(seed, "mc", range(first, min(trials, first + per_block)))
-        alive, common = np.arange(heads.size), None
+    for first in range(0, trials, per_block * k):
+        # Trials are numbered within the pass, which keeps common_starts' keys small.
+        alive, common = np.arange(min(trials - first, per_block * k)), None
         for i in range(k):
-            block = generate_block(model, duration, trial_seeds(heads[alive], i))
-            common = common_starts(block, cfg, offsets, alive, common)
-            alive = common.trial[np.diff(common.trial, prepend=-1) != 0]
+            pieces, b = [], 0
+            for rows in np.array_split(alive, -(-alive.size // per_block)):
+                a, b = b, b + rows.size  # rows is alive[a:b]
+                block = generate_block(model, duration, trial_seeds(seed, "mc", (rows + first).tolist(), i))
+                held = None if common is None else CommonStarts(*(field[at[a] : at[b]] for field in common))
+                pieces.append(common_starts(block, cfg, offsets, rows, held))
+            common = CommonStarts(*map(np.concatenate, zip(*pieces)))
+            # common is sorted by trial: its rows at[j] to at[j + 1] are trial alive[j]'s pieces.
+            at = np.flatnonzero(np.diff(common.trial, prepend=-1)).tolist() + [common.trial.size]
+            alive = common.trial[at[:-1]]
             if not alive.size:
                 break
         hits += alive.size

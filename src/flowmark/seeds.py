@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,24 +73,15 @@ def seed_prefix(master: int, *parts: int | float | str):
     return h
 
 
-def trial_heads(master: int, label: int | float | str, trials: Iterable[int]) -> np.ndarray:
-    """The hash state of derive_seed(master, label, t, ...) for each trial t, as an object array."""
-    prefix = seed_prefix(master, label)
-    heads = []
-    for t in trials:
-        head = prefix.copy()
-        head.update(_encode(t))
-        heads.append(head)
-    return np.array(heads, dtype=object)
-
-
-def trial_seeds(heads: Iterable, i: int) -> list[int]:
-    """derive_seed(master, label, t, i) for the trial_heads(master, label, ...) of each trial t."""
-    tail = _encode(i)
+def trial_seeds(master: int, label: int | float | str, trials: Sequence[int], i: int) -> list[int]:
+    """derive_seed(master, label, t, i) for each trial t; int trials are hashed from one prefix."""
+    if not set(map(type, trials)) <= {int}:
+        return [derive_seed(master, label, t, i) for t in trials]
+    prefix, tail = seed_prefix(master, label), _encode(i)
     digests = []
-    for head in heads:
-        h = head.copy()
-        h.update(tail)
+    for t in trials:
+        h = prefix.copy()
+        h.update(b"i%d%b" % (t, tail))  # _encode(t) + tail
         digests.append(h.digest())
     return list(struct.unpack(f"<{len(digests)}Q", b"".join(digests)))
 

@@ -602,6 +602,32 @@ class TestDriverMatchesPerTrialLoop:
         assert (mc.hits == 300) == all_drawn
         assert mc == reference_monte_carlo("bnb", CFG, model, 0.9, 5, 300, 4, clear_prob)
 
+    def kernel_rows(self, clear_prob: float, k: int) -> tuple[list[int], int]:
+        """Rows of each generate_block and common_starts call of a 2,000-trial 0.9 s bnb run,
+        and the block size that _BLOCK_CELLS gives."""
+        model = PoissonModel(poisson_rate_for_clear_probability(clear_prob, CFG.min_length))
+        cells = len(attack_plan("bnb", CFG, k)) * (draw_width(model, 0.9) + 2)
+        draw = mock.patch.object(repro, "generate_block", wraps=generate_block)
+        sweep = mock.patch.object(repro, "common_starts", wraps=common_starts)
+        with draw as drawn, sweep as swept:
+            monte_carlo_attack("bnb", CFG, model, 0.9, k, 2000, repro.REPRO_DEFAULT_SEED, clear_prob)
+        rows = [len(call.args[2]) for call in drawn.call_args_list]
+        assert rows == [call.args[0].arrivals.shape[0] for call in swept.call_args_list]
+        return rows, repro._BLOCK_CELLS // cells
+
+    def test_every_stage_draws_in_full_blocks(self):
+        # All 2,000 trials fit in one pass of per_block * k, so even the last
+        # stage is large enough for the block pass of flow_model._draw.
+        rows, per_block = self.kernel_rows(0.276, 5)
+        assert len(rows) <= 10
+        assert all(PASS_MIN_ROWS <= n <= per_block for n in rows)
+
+    def test_no_kernel_call_exceeds_a_block(self):
+        # At p = 0.9999 every trial stays alive through all 20 stages.
+        rows, per_block = self.kernel_rows(0.9999, 20)
+        assert sum(rows) == 20 * 2000
+        assert max(rows) <= per_block
+
     def test_unknown_method_is_an_error(self):
         with pytest.raises(ValueError, match="unknown attack method"):
             monte_carlo_attack("greedy", CFG, MODEL, 0.9, 2, 1, 0, 0.276)

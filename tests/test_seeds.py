@@ -17,7 +17,6 @@ from flowmark.seeds import (
     check_seeds,
     seed_prefix,
     seeded_generators,
-    trial_heads,
     trial_seeds,
 )
 
@@ -240,22 +239,23 @@ class TestDerivation:
     @given(
         master=SEEDS,
         label=st.one_of(st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=8)),
-        first=st.integers(-(2**70), 2**70),
-        count=st.integers(0, 12),
+        trials=st.one_of(
+            st.lists(st.integers(-(2**70), 2**70), max_size=12),
+            st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=4)), max_size=4),
+        ),
         k=st.integers(0, 7),
-        picks=st.lists(st.booleans(), min_size=12, max_size=12),
     )
-    def test_trial_seeds_are_derive_seeds(self, master, label, first, count, k, picks):
-        trials = range(first, first + count)
-        heads = trial_heads(master, label, trials)
-        rows = np.flatnonzero(picks[:count])
+    @example(master=0, label="mc", trials=[2**64 + 1, -1, 2**64, 0, -(2**70)], k=2)
+    def test_trial_seeds_are_derive_seeds(self, master, label, trials, k):
+        # Any trials, in any order: a stage draws only the trials still alive.
         for i in range(k):
-            assert trial_seeds(heads, i) == [derive_seed(master, label, t, i) for t in trials]
-            assert trial_seeds(heads[rows], i) == [derive_seed(master, label, trials[r], i) for r in rows]
+            assert trial_seeds(master, label, trials, i) == [derive_seed(master, label, t, i) for t in trials]
+        with pytest.raises(BadSeed):
+            trial_seeds(master, label, [*trials, True], 0)
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.0, True])
     def test_bad_seed_is_a_toolkit_error_and_a_value_or_type_error(self, bad):
-        for call in (check_seed, derive_seed, seed_prefix, lambda m: trial_heads(m, "mc", [0])):
+        for call in (check_seed, derive_seed, seed_prefix, lambda m: trial_seeds(m, "mc", [0], 0)):
             with pytest.raises(BadSeed) as info:
                 call(bad)
             assert isinstance(info.value, (FlowmarkError, ValueError, TypeError))
