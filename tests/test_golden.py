@@ -106,7 +106,7 @@ CASES = {
         [["montecarlo", "--config", "mc.ini", "--out", "mc", "--seed", "8", "--trials", "300"]],
         "mc/montecarlo.csv",
     ),
-    # 0.9 s flows over enough trials to span many draw blocks.
+    # 0.9 s flows over enough trials that the early stages draw several chunks.
     "montecarlo-bnb-blocks": (
         {"mc.ini": MC_FLOW + "\n" + ATTACK + "\n[experiment]\nk = 5\nmethod = bnb\n"},
         [["montecarlo", "--config", "mc.ini", "--out", "mc", "--seed", "11", "--trials", "2000"]],

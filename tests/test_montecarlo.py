@@ -530,7 +530,7 @@ class TestDriverMatchesPerTrialLoop:
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("method", sorted(ATTACKS))
     def test_hits(self, method, k, seed):
-        # 70 trials span three blocks of 0.9 s flows at k = 5.
+        # 70 trials of 0.9 s flows: one pass, one chunk per stage.
         args = (method, CFG, MODEL, 0.9, k, 70, seed, 0.276)
         assert monte_carlo_attack(*args) == reference_monte_carlo(*args)
 
@@ -561,14 +561,15 @@ class TestDriverMatchesPerTrialLoop:
     @pytest.mark.parametrize("duration, trials", [(0.9, 1300), (15.3, 380)])
     @pytest.mark.parametrize("method", sorted(ATTACKS))
     def test_hits_do_not_depend_on_the_block_size(self, method, duration, trials):
-        # The default budget splits these runs into 2 or 3 blocks; then one
-        # trial per block, and every trial in one block.  A block's budget
-        # holds one flow of each of its trials.
+        # The default budget gives one pass whose first stage is 2 or 3
+        # chunks; then one trial per block (passes of k trials), two passes
+        # of five chunks per first stage, and every trial in one block.  A
+        # block's budget holds one flow of each of its trials.
         args = (method, CFG, MODEL, duration, 5, trials, 2, 0.276)
         cells = len(attack_plan(method, CFG, 5)) * (draw_width(MODEL, duration) + 2)
         assert 1 < -(-trials * cells // repro._BLOCK_CELLS) <= 3
         expected = monte_carlo_attack(*args)
-        for budget in (1, 2 * trials * cells):
+        for budget in (1, trials // 8 * cells, 2 * trials * cells):
             with mock.patch.object(repro, "_BLOCK_CELLS", budget):
                 assert monte_carlo_attack(*args) == expected
         assert expected == reference_monte_carlo(*args)
@@ -578,7 +579,8 @@ class TestDriverMatchesPerTrialLoop:
         method=st.sampled_from(sorted(ATTACKS)),
         k=st.sampled_from([1, 2, 5]),
         duration=st.sampled_from([0.9, 4.5]),
-        budget=st.sampled_from([1, repro._BLOCK_CELLS, 2**22]),
+        # 2**8 cells hold 2 to 9 trials, so runs at k = 2 or 5 cross passes of several chunks.
+        budget=st.sampled_from([1, 2**8, repro._BLOCK_CELLS, 2**22]),
         trials=st.integers(1, 30),
         seed=st.integers(0, 2**64 - 1),
         kinds=st.lists(st.sampled_from(MODES), min_size=150, max_size=150),
