@@ -74,12 +74,14 @@ def seed_prefix(master: int, *parts: int | float | str):
 
 
 def trial_seeds(master: int, label: int | float | str, trials: Sequence[int], i: int) -> list[int]:
-    """derive_seed(master, label, t, i) for each trial t, each hashed from one copied prefix."""
+    """derive_seed(master, label, t, i) for each int trial t, each hashed from one copied prefix."""
+    if not set(map(type, trials)) <= {int}:
+        raise BadSeed("trials must be ints")
     prefix, tail = seed_prefix(master, label), _encode(i)
     digests = []
     for t in trials:
         h = prefix.copy()
-        h.update(_encode(t) + tail)
+        h.update(b"i%d%b" % (t, tail))  # _encode(t) + tail, formatted inline
         digests.append(h.digest())
     return list(struct.unpack(f"<{len(digests)}Q", b"".join(digests)))
 
