@@ -29,7 +29,7 @@ from .mfa import (
     mfa_varied_offset_exhaustive,
     read_manifest,
 )
-from .config import load_config, parse_config, render_config
+from .config import load_config, parse_config
 from .repro import ReproCase, closed_form_cases, monte_carlo_case
 from .seeds import check_seed, derive_seed
 from .watermark import (
@@ -84,7 +84,6 @@ __all__ = [
     "poisson_rate_for_clear_probability",
     "read_flow",
     "read_manifest",
-    "render_config",
     "wilson_interval",
     "write_flow",
     "__version__",

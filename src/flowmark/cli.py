@@ -46,7 +46,13 @@ from .flow_model import (
     write_flow,
 )
 from .mfa import METHODS, AttackConfig, attack, attack_plan, read_manifest
-from .repro import REPRO_DEFAULT_SEED, REPRO_DEFAULT_TRIALS, all_cases, monte_carlo_attack
+from .repro import (
+    REPRO_DEFAULT_SEED,
+    REPRO_DEFAULT_TRIALS,
+    closed_form_cases,
+    monte_carlo_attack,
+    monte_carlo_case,
+)
 from .seeds import check_seed, derive_seed
 from .watermark import WatermarkParams, detect, embed
 
@@ -414,7 +420,8 @@ def _scenario_paper_repro(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     trials = REPRO_DEFAULT_TRIALS if args.trials is None else args.trials
     if trials <= 0:
         raise ConfigError(f"trials must be positive, got {trials}")
-    cases, stats = all_cases(seed=seed, trials=trials)
+    mc_case, stats = monte_carlo_case(seed=seed, trials=trials)
+    cases = closed_form_cases() + [mc_case]
     rows = [
         {"case": c.name, "expected": c.expected, "computed": c.computed,
          "display": c.display, "status": c.status}

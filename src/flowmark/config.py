@@ -119,16 +119,6 @@ def load_config(path: str | Path) -> ConfigDict:
     return parse_config(text, origin=str(path))
 
 
-def render_config(sections: ConfigDict) -> str:
-    """Inverse of parse_config for echoing resolved parameters."""
-    chunks = []
-    for section, mapping in sections.items():
-        lines = [f"[{section}]"]
-        lines.extend(f"{key} = {value}" for key, value in mapping.items())
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"
-
-
 def get(cfg: ConfigDict, section: str, key: str, default=MISSING):
     """[section] key read as SECTIONS says; default, if given, when it is absent."""
     if key not in cfg.get(section, {}):

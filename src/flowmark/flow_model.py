@@ -92,11 +92,6 @@ class Flow:
             self.timestamps, other.timestamps
         )
 
-    def count_in(self, start: float, end: float) -> int:
-        """Number of packets in the half-open window [start, end)."""
-        ts = self.timestamps
-        return int(np.searchsorted(ts, end, side="left") - np.searchsorted(ts, start, side="left"))
-
 
 @dataclass(frozen=True)
 class PoissonModel:
@@ -269,12 +264,11 @@ def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> F
     """
     arrivals, counts = _draw(model, duration, seeds)
     durations = np.full(len(seeds), float(duration))
-    # Counted arrivals lie below duration, so they are finite; Flow's other
-    # checks are that they start at 0 or later and strictly increase.
+    # Counted arrivals are finite (below duration) and sums of non-negative gaps
+    # (0 or later), so Flow's one check left is a strict rise, which a tie breaks.
     inside = np.arange(arrivals.shape[1]) < counts[:, None]
     rising = (arrivals[:, 1:] > arrivals[:, :-1]) | ~inside[:, 1:]
-    valid = rising.all(axis=1) & ((arrivals[:, 0] >= 0.0) | (counts == 0))
-    for r in np.flatnonzero(~valid).tolist():
+    for r in np.flatnonzero(~rising.all(axis=1)).tolist():
         flow = Flow(timestamps=arrivals[r, : counts[r]], duration=duration)
         arrivals[r, : counts[r]] = flow.timestamps
         arrivals[r, counts[r] :] = math.inf  # the tie-break may have grown the duration

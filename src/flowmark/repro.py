@@ -183,22 +183,19 @@ def monte_carlo_attack(
 
 
 def monte_carlo_case(
-    seed: int = REPRO_DEFAULT_SEED,
-    trials: int = REPRO_DEFAULT_TRIALS,
-    k: int = 5,
-    clear_prob: float = REFERENCE_P_450MS,
+    seed: int = REPRO_DEFAULT_SEED, trials: int = REPRO_DEFAULT_TRIALS
 ) -> tuple[ReproCase, dict[str, float]]:
     """Attack false-positive rate on unwatermarked traffic vs its ceiling.
 
-    Each trial draws k independent Poisson flows calibrated so a window of
-    length T - delta is clear with probability `clear_prob`, then runs the
-    varied-offset attack. Flows span a single interval length, but the window
-    still slides across it, so an offset assignment holds more alignments
-    than the analytic bound's one per assignment (ROADMAP item 1).
+    Each trial draws k = 5 independent Poisson flows calibrated so a window
+    of length T - delta is clear with probability REFERENCE_P_450MS, then
+    runs the varied-offset attack. Flows span a single interval length, but
+    the window still slides across it, so an offset assignment holds more
+    alignments than the analytic bound's one per assignment (ROADMAP item 1).
     """
     cfg = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5)
-    model = PoissonModel(poisson_rate_for_clear_probability(clear_prob, cfg.min_length))
-    mc = monte_carlo_attack("bnb", cfg, model, cfg.T, k, trials, seed, clear_prob)
+    model = PoissonModel(poisson_rate_for_clear_probability(REFERENCE_P_450MS, cfg.min_length))
+    mc = monte_carlo_attack("bnb", cfg, model, cfg.T, 5, trials, seed, REFERENCE_P_450MS)
     case = ReproCase(
         name="mfa-false-positive-rate",
         expected=f"rate <= {mc.ceiling:.4g} (bound {mc.fp_bound:.4g} + 3 sigma)",
@@ -207,12 +204,3 @@ def monte_carlo_case(
         passed=mc.rate <= mc.ceiling,
     )
     return case, {"trials": trials, **mc._asdict()}
-
-
-def all_cases(
-    seed: int = REPRO_DEFAULT_SEED, trials: int = REPRO_DEFAULT_TRIALS
-) -> tuple[list[ReproCase], dict[str, float]]:
-    cases = closed_form_cases()
-    mc_case, stats = monte_carlo_case(seed=seed, trials=trials)
-    cases.append(mc_case)
-    return cases, stats

@@ -169,7 +169,7 @@ def detect(flow: Flow, params: WatermarkParams) -> DetectionResult:
     ts = flow.timestamps
     best = 0.0
     for candidate in offset_candidates(params.o_max, params.delta):
-        # Interval i is silent when flow.count_in(lo[i], hi[i]) == 0.
+        # Interval i is silent when no packet lies in [lo[i], hi[i]).
         lo = candidate + cleared * params.T + margin
         hi = candidate + (cleared + 1) * params.T - margin
         silent = np.searchsorted(ts, hi, side="left") == np.searchsorted(ts, lo, side="left")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flowmark import cli, closed_form_cases, load_config, parse_config, render_config
+from flowmark import ReproCase, cli, closed_form_cases, load_config, parse_config
 from flowmark.analysis import fp_bound
 from flowmark.cli import (
     EXIT_CONFIG,
@@ -29,6 +29,15 @@ from flowmark.flow_model import PoissonModel, clear_probability, generate_flow, 
 from flowmark.mfa import AttackConfig, _offset_grid, read_manifest
 from flowmark.watermark import WatermarkParams
 from search_oracle import enumerate_assignments
+
+
+def render_config(sections):
+    """INI text that parse_config reads back as sections."""
+    return "\n\n".join(
+        "\n".join([f"[{section}]", *(f"{key} = {value}" for key, value in mapping.items())])
+        for section, mapping in sections.items()
+    ) + "\n"
+
 
 GEN_INI = """[flow]
 model = poisson
@@ -848,9 +857,9 @@ class TestPaperReproScenario:
 
     def test_failing_case_prints_fail_and_exits_1(self, tmp_path, capsys, monkeypatch):
         # A wrong measured clear probability fails the dependent closed-form cases.
-        monkeypatch.setattr(
-            cli, "all_cases", lambda seed, trials: (closed_form_cases(p_450ms=0.3), {})
-        )
+        monkeypatch.setattr(cli, "closed_form_cases", lambda: closed_form_cases(p_450ms=0.3))
+        passing = ReproCase("mfa-false-positive-rate", "stub", "stub", "stub", passed=True)
+        monkeypatch.setattr(cli, "monte_carlo_case", lambda seed, trials: (passing, {}))
         rc = run_cli("paper-repro", "--out", tmp_path / "o")
         assert rc == EXIT_FAILURE
         lines = capsys.readouterr().out.splitlines()

@@ -68,18 +68,11 @@ class TestFlow:
     def test_empty_flow(self):
         flow = Flow(timestamps=[], duration=2.0)
         assert len(flow) == 0
-        assert flow.count_in(0.0, 2.0) == 0
 
     def test_immutable_timestamps(self):
         flow = Flow(timestamps=[0.5], duration=1.0)
         with pytest.raises(ValueError):
             flow.timestamps[0] = 0.1
-
-    def test_count_in_half_open(self):
-        flow = Flow(timestamps=[0.2, 0.5, 0.8], duration=1.0)
-        assert flow.count_in(0.2, 0.5) == 1  # start included, end excluded
-        assert flow.count_in(0.0, 1.0) == 3
-        assert flow.count_in(0.5, 0.5) == 0
 
     def test_equality_by_value(self):
         a = Flow(timestamps=[0.3, 0.1], duration=1.0)

@@ -44,6 +44,64 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["line 1: Sequence", "line 2: np"]
 
 
+def unreached(sources: dict[str, str], public: set[str]) -> list[str]:
+    """Top-level functions and classes, and public methods of the classes named in
+    public, that no Name or Attribute in sources reaches from outside their own body."""
+    trees = [ast.parse(source) for source in sources.values()]
+    defs = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((node.name, node.name, node))
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                defs.extend(
+                    (f"{node.name}.{method.name}", method.name, method)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                )
+    uses = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for qualname, name, node in defs:
+        own = set(map(id, ast.walk(node)))
+        if not any(used == name and id(use) not in own for used, use in uses):
+            found.append(qualname)
+    return sorted(found)
+
+
+# Definitions that only tests reach yet, each with the ROADMAP item that gives it a caller.
+REACHED_ONLY_BY_TESTS = {"wilson_interval": "ROADMAP item 6: detect's Wilson interval"}
+
+
+def readme_entry_points() -> list[str]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"`(\w+)`", paragraph)
+
+
+def test_every_definition_has_a_caller_in_src():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    entry_points = set(readme_entry_points())
+    found = [name for name in unreached(sources, set(flowmark.__all__)) if name not in entry_points]
+    assert found == sorted(REACHED_ONLY_BY_TESTS)
+
+
+def test_a_definition_without_a_caller_is_found():
+    source = (
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Box:\n    def get(self):\n        return used()\n\n"
+        "    def put(self):\n        pass\n\n"
+        "    def _hidden(self):\n        pass\n\n"
+        "Box().get()\n"
+    )
+    assert unreached({"m.py": source}, public={"Box"}) == ["Box.put", "recursive"]
+
+
 def run_fresh(code: str) -> str:
     """What code prints to stdout in a fresh interpreter that imports this flowmark."""
     src = str(Path(flowmark.__file__).parent.parent)
@@ -83,7 +141,5 @@ def test_every_public_function_and_class_has_a_docstring():
 
 
 def test_readme_entry_points_are_public():
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    paragraph = readme.split("Key entry points:", 1)[1].split("\n\n", 1)[0]
-    names = re.findall(r"`(\w+)`", paragraph)
+    names = readme_entry_points()
     assert names and [name for name in names if name not in flowmark.__all__] == []

@@ -633,3 +633,38 @@ class TestDriverMatchesPerTrialLoop:
     def test_unknown_method_is_an_error(self):
         with pytest.raises(ValueError, match="unknown attack method"):
             monte_carlo_attack("greedy", CFG, MODEL, 0.9, 2, 1, 0, 0.276)
+
+
+def run_probability(r: float, m: int, n: int) -> float:
+    """Chance that n independent cells, each empty with probability r, hold a run of
+    m empty cells in a row: a recurrence over the current run length (Feller, vol. 1,
+    ch. XIII)."""
+    runs, hit = [1.0] + [0.0] * (m - 1), 0.0  # runs[j]: no hit yet, current run j
+    for _ in range(n):
+        hit += r * runs[-1]
+        runs = [(1.0 - r) * sum(runs)] + [r * j for j in runs[:-1]]
+    return hit
+
+
+class TestFixedRateMatchesTheExactRunProbability:
+    """Under "fixed" (one shift, 0) a trial hits exactly when m = _min_units
+    consecutive grid cells are empty in all k flows.  The k Poisson flows
+    together are Poisson(k * rate), so each cell is empty with probability
+    exp(-k * rate * quantum), independently, and the hit probability over the
+    duration / quantum cells is exact."""
+
+    CFG = AttackConfig(T=0.9, delta=0.45, o_max=0.9, epsilon=1e-5, quantum=0.05625)
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize(
+        "k, duration, exact",
+        [(3, 0.9, 0.0854), (5, 0.9, 0.00868), (5, 4.5, 0.0637), (3, 15.3, 0.9005)],
+    )
+    def test_rate_within_3_sigma(self, k, duration, exact):
+        cells = duration / self.CFG.quantum
+        assert cells == round(cells) and _min_units(self.CFG) == 8
+        r = math.exp(-k * MODEL.rate * self.CFG.quantum)
+        p = run_probability(r, 8, round(cells))
+        assert p == pytest.approx(exact, rel=1e-3)
+        mc = monte_carlo_attack("fixed", self.CFG, MODEL, duration, k, self.TRIALS, 1, 0.276)
+        assert abs(mc.rate - p) <= 3.0 * math.sqrt(p * (1.0 - p) / self.TRIALS)

@@ -111,6 +111,13 @@ def embed_reference(flow: Flow, params: WatermarkParams) -> Flow:
     return Flow(timestamps=out, duration=flow.duration)
 
 
+def count_in(flow: Flow, start: float, end: float) -> int:
+    """Number of packets in the half-open window [start, end); negative when end
+    lies an ulp before start and a packet lies in [end, start)."""
+    ts = flow.timestamps
+    return int(np.searchsorted(ts, end, side="left") - np.searchsorted(ts, start, side="left"))
+
+
 def detect_reference(flow: Flow, params: WatermarkParams) -> DetectionResult:
     """Per-interval count_in detector: the oracle for the vectorised detect."""
     cleared = sorted(params.pattern().cleared)
@@ -121,7 +128,7 @@ def detect_reference(flow: Flow, params: WatermarkParams) -> DetectionResult:
         for i in cleared:
             lo = candidate + i * params.T + margin
             hi = candidate + (i + 1) * params.T - margin
-            if flow.count_in(lo, hi) == 0:
+            if count_in(flow, lo, hi) == 0:
                 silent += 1
         score = silent / len(cleared)
         if score == 1.0:
@@ -250,7 +257,7 @@ class TestEmbed:
             # accumulating start + T instead can land an ulp past the grid
             start = params.o + i * params.T
             end = params.o + (i + 1) * params.T
-            assert marked.count_in(start, end) == 0
+            assert count_in(marked, start, end) == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_idempotent(self, seed):
@@ -394,7 +401,7 @@ class TestDetect:
             for i in cleared:
                 lo = cand + i * params.T + margin
                 hi = cand + (i + 1) * params.T - margin
-                assert marked.count_in(lo, hi) == 0
+                assert count_in(marked, lo, hi) == 0
 
 
 class TestWilsonInterval:
