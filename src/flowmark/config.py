@@ -88,7 +88,8 @@ def _key_line(text: str, section: str, key: str) -> int | None:
 
 def parse_config(text: str, origin: str = "<config>") -> ConfigDict:
     """Parse INI text into {section: {key: value}}, rejecting unknown entries."""
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",))
+    # No header spells the empty name, so [DEFAULT] is an unknown section like any other.
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="")
     parser.optionxform = str  # keys are case-sensitive
     try:
         parser.read_string(text)

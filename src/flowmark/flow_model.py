@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -193,8 +193,8 @@ def draw_width(model: FlowModel, duration: float) -> int:
 _PASS_MIN_ROWS, _PASS_MAX_WIDTH = 64, 32
 
 
-def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Raw arrival times, one row per seed, and each row's count below duration.
+def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> np.ndarray:
+    """Raw arrival times, one row per seed.
 
     Row r draws draw_width gaps from default_rng(seeds[r])'s stream and, while
     its last arrival is not past duration, further chunks of a quarter of the
@@ -203,7 +203,7 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
     A block the block_exponentials pass takes draws the expected count plus 2
     sigma plus 2 gaps of every row at once; a row whose draws are not sure up
     to its first arrival past duration is drawn again by its own generator.
-    Such a generator is seeded once and goes on for the row's later chunks.
+    A row that needs later chunks is seeded again, skips its first chunk and draws on.
     """
     chunk = draw_width(model, duration)
     scale = 1.0 / model.rate
@@ -216,17 +216,18 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
         arrivals[:, : gaps.shape[1]] = gaps
         arrivals[:, gaps.shape[1] :] = math.inf
         redraw = np.flatnonzero(~(past & sure).any(axis=1)).tolist()
-    rngs = dict(zip(redraw, seeded_generators([seeds[r] for r in redraw])))
-    for r, rng in rngs.items():
+    for r, rng in zip(redraw, seeded_generators([seeds[r] for r in redraw])):
         rng.standard_exponential(out=arrivals[r])
     arrivals *= scale  # numpy's exponential(scale) is scale * standard_exponential()
     np.cumsum(arrivals, axis=1, out=arrivals)  # row by row, as the 1-D cumsum
     extra: dict[int, np.ndarray] = {}
     for r in np.flatnonzero(arrivals[:, -1] <= duration).tolist():
+        rng = next(seeded_generators([seeds[r]]))
+        rng.standard_exponential(chunk)  # the first chunk, drawn above
         times, size, total = [], chunk, float(arrivals[r, -1])
         while total <= duration:
             size = max(16, size // 4)
-            times.append(total + np.cumsum(rngs[r].exponential(scale=scale, size=size)))
+            times.append(total + np.cumsum(rng.exponential(scale=scale, size=size)))
             total = float(times[-1][-1])
         extra[r] = np.concatenate(times)
     if extra:
@@ -234,7 +235,7 @@ def _draw(model: FlowModel, duration: float, seeds: Sequence[int]) -> tuple[np.n
         arrivals = np.pad(arrivals, ((0, 0), (0, width - chunk)), constant_values=math.inf)
         for r, times in extra.items():
             arrivals[r, chunk : chunk + times.size] = times
-    return arrivals, np.count_nonzero(arrivals < duration, axis=1)
+    return arrivals
 
 
 def generate_flow(model: FlowModel, duration: float, seed: int) -> Flow:
@@ -243,37 +244,31 @@ def generate_flow(model: FlowModel, duration: float, seed: int) -> Flow:
     Only Poisson models can generate; the draw is bit-identical for a
     given (model, duration, seed) triple.
     """
-    arrivals, counts = _draw(model, duration, [seed])
-    return Flow(timestamps=arrivals[0, : counts[0]], duration=duration)
+    arrivals = _draw(model, duration, [seed])[0]
+    return Flow(timestamps=arrivals[arrivals < duration], duration=duration)
 
 
-class FlowBlock(NamedTuple):
-    """Flows drawn together: flow r is arrivals[r, :counts[r]] over durations[r].
-    The rest of row r lies at or past durations[r]."""
-
-    arrivals: np.ndarray
-    counts: np.ndarray
-    durations: np.ndarray
-
-
-def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> FlowBlock:
+def generate_block(model: FlowModel, duration: float, seeds: Sequence[int]) -> np.ndarray:
     """One flow per seed, each bit-identical to generate_flow(model, duration, seed).
 
+    Row r holds 0, flow r's timestamps, then its duration repeated to the end.
     Flow's checks run on all rows at once; a row that fails one (in practice
     a tie) is passed through Flow, which canonicalises it or raises.
     """
-    arrivals, counts = _draw(model, duration, seeds)
-    durations = np.full(len(seeds), float(duration))
-    # Counted arrivals are finite (below duration) and sums of non-negative gaps
-    # (0 or later), so Flow's one check left is a strict rise, which a tie breaks.
-    inside = np.arange(arrivals.shape[1]) < counts[:, None]
-    rising = (arrivals[:, 1:] > arrivals[:, :-1]) | ~inside[:, 1:]
-    for r in np.flatnonzero(~rising.all(axis=1)).tolist():
-        flow = Flow(timestamps=arrivals[r, : counts[r]], duration=duration)
-        arrivals[r, : counts[r]] = flow.timestamps
-        arrivals[r, counts[r] :] = math.inf  # the tie-break may have grown the duration
-        durations[r] = flow.duration
-    return FlowBlock(arrivals, counts, durations)
+    arrivals = _draw(model, duration, seeds)
+    edges = np.empty((len(seeds), arrivals.shape[1] + 2))
+    edges[:, 0] = 0.0
+    np.minimum(arrivals, duration, out=edges[:, 1:-1])
+    edges[:, -1] = duration
+    # Timestamps below duration are finite and sums of non-negative gaps (0 or
+    # later), so Flow's one check left is a strict rise, which a tie breaks.
+    ties = (edges[:, 2:-1] <= edges[:, 1:-2]) & (edges[:, 2:-1] < duration)
+    for r in np.flatnonzero(ties.any(axis=1)).tolist():
+        count = int(np.count_nonzero(edges[r, 1:-1] < duration))
+        flow = Flow(timestamps=edges[r, 1 : count + 1], duration=duration)
+        edges[r, 1 : count + 1] = flow.timestamps
+        edges[r, count + 1 :] = flow.duration  # the tie-break may have grown the duration
+    return edges
 
 
 def clear_probability(model: FlowModel, t: float) -> float:

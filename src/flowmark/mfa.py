@@ -26,7 +26,7 @@ import numpy as np
 
 from .analysis import ceil_snapped, check_offset_count, fp_bound, offset_multiplier
 from .errors import BadParameter, FlowFileError, SearchSpaceTooLarge
-from .flow_model import Flow, FlowBlock, estimate_clear_probability
+from .flow_model import Flow, estimate_clear_probability
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,13 @@ class CommonStarts(NamedTuple):
 
 
 def common_starts(
-    block: FlowBlock,
+    edges: np.ndarray,
     cfg: AttackConfig,
     shifts: Sequence[float],
     trials: np.ndarray,
     carried: Optional[CommonStarts] = None,
 ) -> CommonStarts:
-    """The grid starts each trial's flows share, once row r of the block joins trial trials[r].
+    """The grid starts each trial's flows share, once generate_block's row r joins trial trials[r].
 
     A start x is shared iff [x, x + m] lies inside one window of every flow,
     at some shift of that flow (m = _min_units(cfg)); a window (lo, hi) kept
@@ -160,17 +160,11 @@ def common_starts(
     (coordinate - base) << 2 | 2 * rise + carried, so at equal coordinates a
     piece ends before another starts; past int64, ranks replace coordinates.
     """
-    rows, width = block.arrivals.shape
     shifts = np.asarray(shifts, dtype=float)
-    span = _span(block.durations.max(), shifts, cfg.quantum)
-    # Row r holds 0, its arrivals and then its duration, repeated to the end.
-    edges = np.empty((rows, width + 2))
-    edges[:, 0] = 0.0
-    np.minimum(block.arrivals, block.durations[:, None], out=edges[:, 1:-1])
-    edges[:, -1] = block.durations
+    span = _span(edges[:, -1].max(), shifts, cfg.quantum)
     gap, lo, hi, keep = _grid_windows(edges.ravel(), span, cfg, shifts)
     m = _min_units(cfg)
-    trial = trials[np.broadcast_to(gap // (width + 2), keep.shape)[keep]]
+    trial = trials[np.broadcast_to(gap // edges.shape[1], keep.shape)[keep]]
     held = carried or CommonStarts(*[np.empty(0, np.int64)] * 3)
     coords = np.concatenate((lo[keep], hi[keep] - (m - 1), held.lo, held.hi))
     base = int(coords.min(initial=0))

@@ -168,9 +168,9 @@ def monte_carlo_attack(
             pieces, b = [], 0
             for rows in np.array_split(alive, -(-alive.size // per_block)):
                 a, b = b, b + rows.size  # rows is alive[a:b]
-                block = generate_block(model, duration, trial_seeds(seed, "mc", (rows + first).tolist(), i))
+                edges = generate_block(model, duration, trial_seeds(seed, "mc", (rows + first).tolist(), i))
                 held = None if common is None else CommonStarts(*(field[at[a] : at[b]] for field in common))
-                pieces.append(common_starts(block, cfg, offsets, rows, held))
+                pieces.append(common_starts(edges, cfg, offsets, rows, held))
             common = CommonStarts(*map(np.concatenate, zip(*pieces)))
             # common is sorted by trial: its rows at[j] to at[j + 1] are trial alive[j]'s pieces.
             at = np.flatnonzero(np.diff(common.trial, prepend=-1)).tolist() + [common.trial.size]

@@ -169,10 +169,10 @@ def detect(flow: Flow, params: WatermarkParams) -> DetectionResult:
     ts = flow.timestamps
     best = 0.0
     for candidate in offset_candidates(params.o_max, params.delta):
-        # Interval i is silent when no packet lies in [lo[i], hi[i]).
+        # Interval i is silent when no packet lies in [lo[i], hi[i]), empty if lo > hi.
         lo = candidate + cleared * params.T + margin
         hi = candidate + (cleared + 1) * params.T - margin
-        silent = np.searchsorted(ts, hi, side="left") == np.searchsorted(ts, lo, side="left")
+        silent = np.searchsorted(ts, hi, side="left") <= np.searchsorted(ts, lo, side="left")
         score = int(np.count_nonzero(silent)) / cleared.size
         if score == 1.0:
             return DetectionResult(detected=True, recovered_offset=candidate, match_score=1.0)

@@ -76,6 +76,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="watermarking"):
             parse_config("[watermarking]\nT = 1\n")
 
+    # configparser would fold [DEFAULT] into every section: a duration set
+    # there would reach [flow], and a typo there would be blamed on [flow].
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nduration = 5\n\n" + GEN_INI.replace("duration = 18.9\n", ""),
+         "[DEFAULT]\nduratino = 5\n\n" + GEN_INI],
+        ids=["default-duration", "default-typo"],
+    )
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys, text):
+        cfg = tmp_path / "gen.ini"
+        cfg.write_text(text)
+        assert run_cli("generate", "--config", cfg, "--out", tmp_path / "o", "--seed", "1") == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {cfg}: unknown section [DEFAULT]\n"
+
     def test_unknown_key_rejected_with_line_number(self):
         text = "[flow]\nmodel = poisson\nrate = 3.0\nduratino = 5\n"
         with pytest.raises(ConfigError, match=r":4.*duratino"):
@@ -115,6 +129,24 @@ class TestParseConfig:
             get(cfg, "flow", "table")
         with pytest.raises(ConfigError, match=r"\[experiment\] trials must be an integer"):
             get(parse_config("[experiment]\ntrials = 3.5\n"), "experiment", "trials")
+
+    def test_list_values_skip_blank_items(self):
+        cfg = parse_config("[flow]\ntable = 0.1:0.5,, 0.45:0.3,\n\n[sweep]\nvalues = 0.45, ,0.9,\n")
+        assert get(cfg, "flow", "table") == ((0.1, 0.5), (0.45, 0.3))
+        assert get(cfg, "sweep", "values") == [0.45, 0.9]
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("flow", "table", " , ", "empirical table must contain at least one point"),
+            ("sweep", "values", "0.45, nine", "bad sweep value 'nine'"),
+            ("sweep", "values", ",", r"\[sweep\] values is empty"),
+        ],
+    )
+    def test_bad_list_values_are_config_errors(self, section, key, value, message):
+        cfg = parse_config(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            get(cfg, section, key)
 
     def test_model_from_config(self):
         model = model_from_config(parse_config(GEN_INI))
@@ -391,6 +423,18 @@ def test_bad_flow_duration_is_a_one_line_config_error(tmp_path, capsys, scenario
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: [flow] duration must be positive")
+
+
+@pytest.mark.parametrize("scenario", DRAWING_SECTIONS)
+def test_empirical_flow_model_cannot_draw_flows(tmp_path, capsys, scenario):
+    flow = "[flow]\nmodel = empirical\ntable = 0.1:0.5, 0.45:0.3\nduration = 18.9\n\n"
+    cfg = tmp_path / "flow.ini"
+    cfg.write_text(flow + DRAWING_SECTIONS[scenario])
+    rc = run_cli(scenario, "--config", cfg, "--out", tmp_path / "o", "--seed", "7", "--trials", "1")
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: this scenario generates traffic and needs a poisson [flow] model\n"
+    )
 
 
 class TestDetectScenario:
@@ -693,6 +737,20 @@ class TestBoundsScenario:
         assert err.count("\n") == 1
         assert err.startswith("config error: bad [flow] section: window length")
 
+    def test_zero_clear_probability_has_no_threshold(self, tmp_path):
+        # p = 0 at T - delta = 0.45 s: no offset span brings the bound to 1.
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text("[flow]\nmodel = empirical\ntable = 0.1:0.5, 0.45:0.0\n\n" + ATTACK_SECTION)
+        out = tmp_path / "out"
+        assert run_cli("bounds", "--config", cfg, "--out", out) == EXIT_OK
+
+        def not_json(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=not_json)
+        assert report["results"]["clear_prob"] == 0.0 and report["results"]["min_k"] == 1
+        assert report["results"]["threshold_o_max"] is None
+
     def test_requires_flow_section(self, tmp_path):
         cfg = tmp_path / "bounds.ini"
         cfg.write_text(ATTACK_SECTION)
@@ -811,6 +869,20 @@ class TestMonteCarloScenario:
         )
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("trials = 200\n", "", "no trials given; pass --trials or set [experiment] trials"),
+            ("k = 5", "k = 0", "[experiment] k must be positive, got 0"),
+        ],
+    )
+    def test_missing_trials_or_zero_flows_is_config_error(self, tmp_path, capsys, old, new, message):
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(self.MC_INI.replace(old, new))
+        rc = run_cli("montecarlo", "--config", cfg, "--out", tmp_path / "o", "--seed", "3")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
 
 class TestPaperReproScenario:
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -819,6 +891,12 @@ class TestPaperReproScenario:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "seed must fit in 64 unsigned bits" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_trials_is_config_error(self, tmp_path, capsys):
+        rc = run_cli("paper-repro", "--out", tmp_path / "o", "--trials", "0")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: trials must be positive, got 0\n"
         assert not (tmp_path / "o").exists()
 
     def test_all_cases_pass_and_reruns_are_identical(self, tmp_path, capsys):

@@ -13,6 +13,7 @@ draws through: ``flow_model.seeded_generators`` and
 import contextlib
 import math
 import sys
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,7 @@ from flowmark import (
     poisson_rate_for_clear_probability,
 )
 from flowmark import flow_model, repro
-from flowmark.flow_model import FlowBlock, draw_width, generate_block
+from flowmark.flow_model import draw_width, generate_block
 from flowmark.mfa import (
     EXHAUSTIVE_CAP,
     _bnb,
@@ -195,11 +196,18 @@ def same_flow(a: Flow, b: Flow) -> bool:
     return same_duration and a.timestamps.tobytes() == b.timestamps.tobytes()
 
 
-def block_rows(block: FlowBlock) -> list[Flow]:
-    return [
-        Flow(timestamps=arrivals[:count], duration=duration)
-        for arrivals, count, duration in zip(block.arrivals, block.counts, block.durations.tolist())
-    ]
+def flow_edges(flows: list[Flow], width: int) -> np.ndarray:
+    """Per flow, a row of width + 2 edges: 0, its timestamps, then its duration to the end."""
+    edges = np.empty((len(flows), width + 2))
+    for row, flow in zip(edges, flows):
+        row[0] = 0.0
+        row[1 : len(flow) + 1] = flow.timestamps
+        row[len(flow) + 1 :] = flow.duration
+    return edges
+
+
+def same_edges(edges: np.ndarray, flows: list[Flow]) -> bool:
+    return edges.tobytes() == flow_edges(flows, edges.shape[1] - 2).tobytes()
 
 
 class TestGenerationMatchesScalarLoop:
@@ -217,9 +225,9 @@ class TestGenerationMatchesScalarLoop:
     def test_block_rows(self, case):
         duration, seeds, modes = case
         with injected(modes, duration):
-            block = generate_block(MODEL, duration, seeds)
+            edges = generate_block(MODEL, duration, seeds)
             expected = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
-        assert all(map(same_flow, block_rows(block), expected))
+        assert same_edges(edges, expected)
 
     def test_width_cut_durations_straddle_the_widest_block_pass(self):
         assert [draw_width(MODEL, d) for d in WIDTH_CUT] == [
@@ -250,9 +258,9 @@ class TestGenerationMatchesScalarLoop:
     def test_block_rows_around_the_block_pass_cuts(self, case):
         duration, seeds, modes = case
         with injected(modes, duration):
-            block = generate_block(MODEL, duration, seeds)
+            edges = generate_block(MODEL, duration, seeds)
             expected = [generate_flow(MODEL, duration, seed) for seed in seeds]
-        assert all(map(same_flow, block_rows(block), expected))
+        assert same_edges(edges, expected)
 
     def test_injected_rows_reach_every_path(self, padding=0):
         """Each mode does what the properties rely on it doing."""
@@ -260,28 +268,51 @@ class TestGenerationMatchesScalarLoop:
         modes = dict(zip(seeds, MODES))
         with injected(modes, 0.9):
             flows = [reference_generate_flow(MODEL, 0.9, seed) for seed in seeds]
-            block = generate_block(MODEL, 0.9, seeds)
-        assert all(map(same_flow, block_rows(block), flows))
+            edges = generate_block(MODEL, 0.9, seeds)
+        assert same_edges(edges, flows)
         plain, short, shorter, ties, end, empty = flows[: len(MODES)]
         assert len(short) > 24 and len(shorter) > 40  # 24 gaps are drawn first at 0.9 s
-        assert block.arrivals.shape[1] > 40
+        assert edges.shape[1] > 42
         assert ties.timestamps[:2].tolist() == [0.0, 5e-324]
-        assert end.duration > 0.9 and block.durations[4] == end.duration
-        assert len(empty) == 0 and block.counts[5] == 0
+        assert end.duration > 0.9 and edges[4, -1] == end.duration == end.timestamps[-1]
+        assert len(empty) == 0 and (edges[5, 1:] == 0.9).all()
 
     @pytest.mark.parametrize("duration, count", [(0.9, PASS_MIN_ROWS), (15.3, len(MODES))])
     def test_a_block_seeds_each_drawn_row_once(self, duration, count):
-        # short and shorter rows need more chunks; their generators go on.
+        # short and shorter rows need more chunks: each is seeded once more for them.
         seeds = [derive_seed(5, "once", i) for i in range(count)]
         modes = dict(zip(seeds, MODES * count))
         with injected(modes, duration):
             spy = mock.patch.object(flow_model, "seeded_generators", wraps=flow_model.seeded_generators)
             with spy as seeded_generators:
-                block = generate_block(MODEL, duration, seeds)
+                edges = generate_block(MODEL, duration, seeds)
             expected = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
-        assert seeded_generators.call_count == 1
-        assert all(map(same_flow, block_rows(block), expected))
-        assert block.arrivals.shape[1] > draw_width(MODEL, duration)  # top-up chunks were drawn
+        calls = [call.args[0] for call in seeded_generators.call_args_list]
+        topped_up = [seed for seed in seeds if modes[seed] in ("short", "shorter")]
+        assert set(topped_up) <= set(calls[0]) and calls[1:] == [[seed] for seed in topped_up]
+        assert same_edges(edges, expected)
+        assert edges.shape[1] > draw_width(MODEL, duration) + 2  # top-up chunks were drawn
+
+    @pytest.mark.parametrize("duration, count", [(0.9, 4 * PASS_MIN_ROWS), (15.3, 300)])
+    def test_a_block_lets_each_generator_go(self, duration, count):
+        # When a generator is handed out, only the one before it may still be held.
+        seeds = [derive_seed(6, "let go", i) for i in range(count)]
+        modes = dict(zip(seeds, MODES * count))
+        handed: list[weakref.ref] = []
+        with injected(modes, duration):
+            injected_generators = flow_model.seeded_generators
+
+            def seeded_generators(seeds):
+                for rng in injected_generators(seeds):
+                    assert sum(ref() is not None for ref in handed) <= 1
+                    handed.append(weakref.ref(rng))
+                    yield rng
+
+            with mock.patch.object(flow_model, "seeded_generators", seeded_generators):
+                edges = generate_block(MODEL, duration, seeds)
+            expected = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
+        assert len(handed) > count // 3
+        assert same_edges(edges, expected)
 
     @pytest.mark.parametrize("duration", DURATIONS)
     def test_empty_rows_start_at_the_first_reachable_time(self, duration):
@@ -313,21 +344,19 @@ class TestGenerationMatchesScalarLoop:
         assert block_exponentials.called
 
 
-def block_verdicts(block: FlowBlock, cfg, shifts, k: int) -> np.ndarray:
-    """Per trial of k consecutive rows: do its flows share a grid start?
+def block_verdicts(edges: np.ndarray, cfg, shifts, k: int) -> np.ndarray:
+    """Per trial of k consecutive rows of edges: do its flows share a grid start?
 
     Stage i adds row k*t + i to each trial t still alive, as the Monte Carlo
     driver adds flow i, so a trial's later rows are skipped once it is absent.
     """
-    alive, common = np.arange(block.arrivals.shape[0] // k), None
+    alive, common = np.arange(edges.shape[0] // k), None
     for i in range(k):
-        rows = alive * k + i
-        stage = FlowBlock(block.arrivals[rows], block.counts[rows], block.durations[rows])
-        common = common_starts(stage, cfg, shifts, alive, common)
+        common = common_starts(edges[alive * k + i], cfg, shifts, alive, common)
         alive = np.unique(common.trial)
         if not alive.size:
             break
-    present = np.zeros(block.arrivals.shape[0] // k, dtype=bool)
+    present = np.zeros(edges.shape[0] // k, dtype=bool)
     present[alive] = True
     return present
 
@@ -362,9 +391,9 @@ class TestBlockVerdictsMatchListSearches:
         shifts = attack_plan(method, cfg, k)
         model = PoissonModel(poisson_rate_for_clear_probability(p, 0.45))
         with injected(modes, duration, 1.0 / model.rate):
-            block = generate_block(model, duration, seeds)
+            edges = generate_block(model, duration, seeds)
             flows = [reference_generate_flow(model, duration, seed) for seed in seeds]
-        assert block_verdicts(block, cfg, shifts, k).tolist() == list_verdicts(flows, cfg, shifts, k)
+        assert block_verdicts(edges, cfg, shifts, k).tolist() == list_verdicts(flows, cfg, shifts, k)
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5])
     def test_grown_duration_stays_with_its_flow(self, k):
@@ -376,41 +405,35 @@ class TestBlockVerdictsMatchListSearches:
         seeds = [derive_seed(0, "grown", i) for i in range(40)]
         shifts = _offset_grid(cfg)
         with injected({seeds[0]: "end"}, 0.9):
-            block = generate_block(MODEL, 0.9, seeds)
+            edges = generate_block(MODEL, 0.9, seeds)
             flows = [reference_generate_flow(MODEL, 0.9, seed) for seed in seeds]
         assert flows[0].duration > 0.9
-        assert block_verdicts(block, cfg, shifts, k).tolist() == list_verdicts(flows, cfg, shifts, k)
+        assert block_verdicts(edges, cfg, shifts, k).tolist() == list_verdicts(flows, cfg, shifts, k)
 
     def test_each_row_keeps_its_duration(self):
         # Flow 1 ends at 0.5 s, so its only long gap, (0.1, 0.5), is too short
         # for T - delta = 0.45 s; ended at flow 0's 0.9 s it would not be.
-        arrivals = np.array([[np.inf], [0.1]])
-        block = FlowBlock(arrivals, np.array([0, 1]), np.array([0.9, 0.5]))
-        assert block_verdicts(block, CFG, [0.0], 2).tolist() == [False]
-        longer = block._replace(durations=np.array([0.9, 0.9]))
+        edges = flow_edges([Flow([], 0.9), Flow([0.1], 0.5)], 1)
+        assert block_verdicts(edges, CFG, [0.0], 2).tolist() == [False]
+        longer = flow_edges([Flow([], 0.9), Flow([0.1], 0.9)], 1)
         assert block_verdicts(longer, CFG, [0.0], 2).tolist() == [True]
 
     @pytest.mark.parametrize("duration, count", [(0.9, 1200), (15.3, 130)])
     def test_large_blocks_match_list_searches(self, duration, count):
         seeds = [derive_seed(3, "cap", i) for i in range(count)]
-        block = generate_block(MODEL, duration, seeds)
+        edges = generate_block(MODEL, duration, seeds)
         flows = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
         shifts = _offset_grid(CFG)
         for k in (1, 5, 10):
-            verdicts = block_verdicts(block, CFG, shifts, k).tolist()
+            verdicts = block_verdicts(edges, CFG, shifts, k).tolist()
             assert verdicts == list_verdicts(flows, CFG, shifts, k)
-        assert 0 < sum(block_verdicts(block, CFG, shifts, 5)) < count // 5
+        assert 0 < sum(block_verdicts(edges, CFG, shifts, 5)) < count // 5
 
 
-def hand_block(*flows: tuple[list[float], float], unit: float = CFG.quantum) -> FlowBlock:
-    """A block of flows given as (timestamps, duration) in units of `unit`
-    seconds, by default CFG's quantum."""
-    width = max(1, *(len(ts) for ts, _ in flows))
-    arrivals = np.full((len(flows), width), np.inf)
-    for row, (ts, _) in zip(arrivals, flows):
-        row[: len(ts)] = np.array(ts) * unit
-    counts = np.array([len(ts) for ts, _ in flows])
-    return FlowBlock(arrivals, counts, np.array([d for _, d in flows]) * unit)
+def hand_flows(*flows: tuple[list[float], float], unit: float = CFG.quantum) -> list[Flow]:
+    """Flows given as (timestamps, duration) in units of `unit` seconds, by
+    default CFG's quantum."""
+    return [Flow(np.array(ts, dtype=float) * unit, d * unit) for ts, d in flows]
 
 
 def ulps(x: float, n: int) -> float:
@@ -434,9 +457,10 @@ class TestBlockVerdictEdges:
     of gaps of m quanta give or take a few ulps, whose packets sit on it.
     """
 
-    def verdicts(self, block: FlowBlock, shifts, k: int) -> list[bool]:
-        got = block_verdicts(block, CFG, shifts, k).tolist()
-        assert got == list_verdicts(block_rows(block), CFG, shifts, k)
+    def verdicts(self, flows: list[Flow], shifts, k: int) -> list[bool]:
+        edges = flow_edges(flows, max(1, *map(len, flows)))
+        got = block_verdicts(edges, CFG, shifts, k).tolist()
+        assert got == list_verdicts(flows, CFG, shifts, k)
         return got
 
     def test_min_units(self):
@@ -444,25 +468,25 @@ class TestBlockVerdictEdges:
 
     def test_common_piece_of_exactly_m_is_present(self):
         # Windows [2, 10] and [1, 13] share [2, 10]: the start 2 alone.
-        block = hand_block(([1.5, 10.5], 12.5), ([0.5, 13.5], 14.5))
-        assert self.verdicts(block, [0.0], 2) == [True]
+        flows = hand_flows(([1.5, 10.5], 12.5), ([0.5, 13.5], 14.5))
+        assert self.verdicts(flows, [0.0], 2) == [True]
 
     def test_common_piece_of_m_minus_one_is_absent(self):
         # Windows [2, 10] and [1, 9] share [2, 9]; their starts [2, 3) and
         # [1, 2) touch at 2, where one piece ends as the other begins.
-        block = hand_block(([1.5, 10.5], 12.5), ([0.5, 9.5], 14.5))
-        assert self.verdicts(block, [0.0], 2) == [False]
+        flows = hand_flows(([1.5, 10.5], 12.5), ([0.5, 9.5], 14.5))
+        assert self.verdicts(flows, [0.0], 2) == [False]
 
     def test_a_window_of_exactly_m_alone_is_present(self):
-        block = hand_block(([1.5, 9.5], 12.5), ([1.5, 10.5], 12.5), ([1.5], 10.5))
-        assert self.verdicts(block, [0.0], 1) == [False, True, True]
+        flows = hand_flows(([1.5, 9.5], 12.5), ([1.5, 10.5], 12.5), ([1.5], 10.5))
+        assert self.verdicts(flows, [0.0], 1) == [False, True, True]
 
     def test_touching_windows_of_one_flow_stay_apart(self):
         # At shifts 0 and 8 quanta, flow 0's window is [2, 10] and [-6, 2],
         # flow 1's is [6, 14] and [-2, 6].  Each pair shares 4 quanta only;
         # flow 0's windows joined into [-6, 10] would share [-2, 6] with flow 1.
-        block = hand_block(([1.5, 10.5], 12.5), ([5.5, 14.5], 16.5))
-        assert self.verdicts(block, [0.0, 8 * CFG.quantum], 2) == [False]
+        flows = hand_flows(([1.5, 10.5], 12.5), ([5.5, 14.5], 16.5))
+        assert self.verdicts(flows, [0.0, 8 * CFG.quantum], 2) == [False]
 
     def test_gaps_of_m_quanta_give_or_take_ulps_near_0(self):
         q, flows, gaps = CFG.quantum, [], []
@@ -471,7 +495,7 @@ class TestBlockVerdictEdges:
                 s, e = lo * q, ulps((lo + 8) * q, n)
                 flows.append(dense_around(s, e, e + 0.2))
                 gaps.append(e - s)
-        got = self.verdicts(hand_block(*flows, unit=1.0), [0.0], 1)
+        got = self.verdicts(hand_flows(*flows, unit=1.0), [0.0], 1)
         # Some gaps measure less than m quanta and still snap to m of them.
         assert any(v and gap < 8 * q for v, gap in zip(got, gaps)) and not all(got)
 
@@ -491,23 +515,23 @@ class TestBlockVerdictEdges:
                 flows.append(([*np.arange(0.2, 2.1, 0.2), s, e], e + 0.2))
                 flows.append(dense_around(s + shift - 2.5 * q, e + shift + 2.5 * q, 2.6))
                 gaps.append(e - s)
-        got = self.verdicts(hand_block(*flows, unit=1.0), [0.0, shift], 2)
+        got = self.verdicts(hand_flows(*flows, unit=1.0), [0.0, shift], 2)
         assert any(v and gap < 8 * q for v, gap in zip(got, gaps)) and not all(got)
 
     def test_keys_past_int64_fall_back_to_ranks(self):
         # A flow of 2**61 quanta holds starts [0, 2**61 - 7], so with four
         # rows the sweep's keys need 4 * 2 * (2**61 - 6) > 2**63 values.
         big = 2**61
-        block = hand_block(([], big), ([], big), ([], big), ([2.5, 6.5, 10.5], 12.5))
-        assert self.verdicts(block, [0.0], 2) == [True, False]
-        assert self.verdicts(block, [0.0, 8 * CFG.quantum], 1) == [True, True, True, False]
+        flows = hand_flows(([], big), ([], big), ([], big), ([2.5, 6.5, 10.5], 12.5))
+        assert self.verdicts(flows, [0.0], 2) == [True, False]
+        assert self.verdicts(flows, [0.0, 8 * CFG.quantum], 1) == [True, True, True, False]
 
     def test_empty_rows_and_flows_without_windows(self):
         # Row 1 has no packet; row 2 has no gap as long as m.
-        block = hand_block(([], 12.5), ([], 12.5), ([2.5, 6.5, 10.5], 12.5), ([], 12.5))
-        assert self.verdicts(block, [0.0, 8 * CFG.quantum], 2) == [True, False]
-        assert self.verdicts(block, [0.0], 4) == [False]
-        assert self.verdicts(block, [0.0], 1) == [True, True, False, True]
+        flows = hand_flows(([], 12.5), ([], 12.5), ([2.5, 6.5, 10.5], 12.5), ([], 12.5))
+        assert self.verdicts(flows, [0.0, 8 * CFG.quantum], 2) == [True, False]
+        assert self.verdicts(flows, [0.0], 4) == [False]
+        assert self.verdicts(flows, [0.0], 1) == [True, True, False, True]
 
 
 def reference_monte_carlo(method, cfg, model, duration, k, trials, seed, clear_prob):
@@ -614,7 +638,7 @@ class TestDriverMatchesPerTrialLoop:
         with draw as drawn, sweep as swept:
             monte_carlo_attack("bnb", CFG, model, 0.9, k, 2000, repro.REPRO_DEFAULT_SEED, clear_prob)
         rows = [len(call.args[2]) for call in drawn.call_args_list]
-        assert rows == [call.args[0].arrivals.shape[0] for call in swept.call_args_list]
+        assert rows == [call.args[0].shape[0] for call in swept.call_args_list]
         return rows, repro._BLOCK_CELLS // cells
 
     def test_every_stage_draws_in_full_blocks(self):

@@ -24,10 +24,6 @@ SEEDS = st.integers(0, 2**64 - 1)
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345]
 
 
-def block_flows(block) -> list[tuple[bytes, float]]:
-    return [(row[:count].tobytes(), duration) for row, count, duration in zip(*block)]
-
-
 def states(generators) -> list[dict]:
     return [rng.bit_generator.state for rng in generators]
 
@@ -212,7 +208,7 @@ def test_failed_known_seed_check_keeps_numpys_bits(fresh_check, breakage):
     assert len(chosen) >= flow_model._PASS_MIN_ROWS
     widths = [flow_model.draw_width(model, d) for d in (0.9, 4.5)]
     assert widths[0] <= flow_model._PASS_MAX_WIDTH < widths[1]
-    expected = [block_flows(generate_block(model, d, chosen)) for d in (0.9, 4.5)]
+    expected = [generate_block(model, d, chosen).tobytes() for d in (0.9, 4.5)]
     seeds._matches_numpy.cache_clear()
     sure_drawn = []
 
@@ -227,7 +223,7 @@ def test_failed_known_seed_check_keeps_numpys_bits(fresh_check, breakage):
             flow_model, "block_exponentials", recorded
         ):
             assert states(seeded_generators(EDGE_SEEDS * 2)) == default_rng_states(EDGE_SEEDS * 2)
-            fallback = [block_flows(generate_block(model, d, chosen)) for d in (0.9, 4.5)]
+            fallback = [generate_block(model, d, chosen).tobytes() for d in (0.9, 4.5)]
         assert block_generators.call_count == 0
         assert sure_drawn == [False]  # the 0.9 s block took the pass and kept no draw
     assert fallback == expected

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowmark import (
@@ -119,16 +119,18 @@ def count_in(flow: Flow, start: float, end: float) -> int:
 
 
 def detect_reference(flow: Flow, params: WatermarkParams) -> DetectionResult:
-    """Per-interval count_in detector: the oracle for the vectorised detect."""
+    """Per-interval detector counting the packets t with lo <= t < hi: the
+    oracle for the vectorised detect."""
     cleared = sorted(params.pattern().cleared)
     margin = params.delta / 2.0
+    ts = flow.timestamps
     best = 0.0
     for candidate in offset_candidates(params.o_max, params.delta):
         silent = 0
         for i in cleared:
             lo = candidate + i * params.T + margin
             hi = candidate + (i + 1) * params.T - margin
-            if count_in(flow, lo, hi) == 0:
+            if not ((ts >= lo) & (ts < hi)).any():
                 silent += 1
         score = silent / len(cleared)
         if score == 1.0:
@@ -315,6 +317,14 @@ class TestOffsetCandidates:
 class TestDetect:
     @settings(max_examples=300)
     @given(case=detect_cases())
+    # delta == T: at offset 0, cleared interval 3's window [3.15 + 1 ulp, 3.15)
+    # is empty, so offset 0 matches.
+    @example(
+        case=(
+            Flow([3.15], 4.5),
+            WatermarkParams(T=0.9, o=0.0, o_max=0.9, delta=0.9, n=4, key=0, clear_fraction=0.5),
+        )
+    )
     def test_matches_count_in_loop(self, case):
         flow, params = case
         # repr also tells a numpy scalar from a float.
