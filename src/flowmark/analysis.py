@@ -81,10 +81,10 @@ def fp_bound(k: int, p: float, multiplier: int = 1) -> FpBound:
     if multiplier < 1:
         raise BadParameter(f"multiplier must be at least 1, got {multiplier}")
     base = multiplier * p
-    if base == 0.0:
-        raw = 0.0
-    else:
-        raw = math.exp(k * math.log(base))
+    try:
+        raw = math.exp(k * math.log(base)) if base else 0.0
+    except OverflowError:  # base > 1 at large k: past the float range
+        raw = math.inf
     return FpBound(raw=raw, clamped=min(raw, 1.0))
 
 

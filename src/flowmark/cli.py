@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .config import (
     model_to_section,
     to_section,
 )
-from .errors import ConfigError, FlowmarkError, FlowTooShort, InfeasibleScenario
+from .errors import ConfigError, FlowmarkError, FlowTooShort, InfeasibleScenario, SearchSpaceTooLarge
 from .flow_model import (
     Flow,
     PoissonModel,
@@ -265,6 +266,14 @@ def _scenario_attack(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     method = _method_name(cfg)
     paths, flows = _manifest_flows(cfg, args)
     finding = attack(method, flows, acfg, names=paths)
+    searched = finding.configurations_searched
+    digits = int(searched.bit_length() * math.log10(2)) + 1  # the digit count or one more
+    digits -= searched < 10 ** (digits - 1)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: ints of any length print
+    if 0 < limit < digits:
+        raise SearchSpaceTooLarge(
+            f"{digits}-digit count of configurations searched; Python prints at most {limit} digits"
+        )
     window_start, window_length = finding.matched_window or (None, None)
     assignment = finding.offset_assignment
     row = {
@@ -274,7 +283,7 @@ def _scenario_attack(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
         "window_start": window_start,
         "window_length": window_length,
         "offset_assignment": None if assignment is None else ";".join(map(repr, assignment)),
-        "configurations_searched": finding.configurations_searched,
+        "configurations_searched": searched,
         "fp_bound_at_k": finding.fp_bound_at_k,
     }
     parameters = {
@@ -284,7 +293,7 @@ def _scenario_attack(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     state = "present" if finding.present else "absent"
     summary = (
         f"attack[{method}]: watermark {state} over k={len(flows)} flows "
-        f"({finding.configurations_searched} configurations searched)"
+        f"({searched} configurations searched)"
     )
     return Outcome(args.seed, parameters, row, [row], summary)
 
@@ -480,6 +489,7 @@ def run(args: argparse.Namespace) -> Outcome:
     return outcome
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowmark",

@@ -20,7 +20,7 @@ class FlowTooShort(FlowmarkError):
 
 
 class SearchSpaceTooLarge(FlowmarkError):
-    """Offset enumeration or the window grid would exceed its cap."""
+    """An offset count, the window grid or a search count would exceed its cap."""
 
 
 class ConfigError(FlowmarkError):

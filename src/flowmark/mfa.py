@@ -4,15 +4,15 @@ If several flows carry the same interval watermark, their cleared intervals
 line up once each flow's unknown offset is guessed.  The attack therefore
 searches, over per-flow offset guesses from a step-delta grid, for a window
 of length at least T - delta that is packet-free in every flow.  Every method
-runs one branch-and-bound search over its own offset grid; exhaustive reports
-the count a lexicographic enumeration would make, computed from the hit, and
-is capped at EXHAUSTIVE_CAP assignments.  Windows are
-snapped inward to a small time quantum, in one vectorised numpy pass over
-all flows covering every offset shift, so the grid search can only shrink
-what is really clear and never reports a window containing a packet.  The
-Monte Carlo driver needs only verdicts: common_starts adds a flow to every
-trial of a block at once and keeps the grid starts each trial's flows share,
-from the same grid windows, with the search's answer but no window lists.
+runs one branch-and-bound search over the offsets attack_plan gives it;
+exhaustive reports the count a lexicographic enumeration would make, computed
+from the hit, at any k.  Windows are snapped inward to a small time quantum,
+in one vectorised numpy pass over all flows covering every offset shift, so
+the grid search can only shrink what is really clear and never reports a
+window containing a packet.  The Monte Carlo driver needs only verdicts:
+common_starts adds a flow to every trial of a block at once and keeps the
+grid starts each trial's flows share, from the same grid windows, with the
+search's answer but no window lists.
 """
 
 from __future__ import annotations
@@ -290,24 +290,20 @@ def _bnb(
     return searched, None, None
 
 
-def _offset_grid(cfg: AttackConfig) -> list[float]:
-    count = check_offset_count(offset_multiplier(cfg.o_max, cfg.delta))
-    return [i * cfg.delta for i in range(count)]
-
-
-EXHAUSTIVE_CAP = 10**6
-
-# Attack methods by name: the offsets each tries per flow.
-METHODS = {"fixed": lambda cfg: [0.0], "exhaustive": _offset_grid, "bnb": _offset_grid}
+# Attack method names; attack_plan gives the offsets each searches.
+METHODS = ("fixed", "exhaustive", "bnb")
 
 
 def attack_plan(method: str, cfg: AttackConfig, k: int) -> list[float]:
-    """Offset grid of the named method for an attack on k flows."""
+    """Offsets the named method tries per flow on k flows: 0 alone for fixed, else the delta grid."""
     if method not in METHODS:
         raise BadParameter(f"unknown attack method {method!r}; expected one of {sorted(METHODS)}")
     if k < 1:
         raise BadParameter("attack needs at least one flow")
-    return METHODS[method](cfg)
+    if method == "fixed":
+        return [0.0]
+    count = check_offset_count(offset_multiplier(cfg.o_max, cfg.delta))
+    return [i * cfg.delta for i in range(count)]
 
 
 def attack(
@@ -323,17 +319,11 @@ def attack(
     The bound uses multiplier len(offsets), the method's offsets per flow,
     and clear_prob, else the flows' mean estimate, taken before the search
     (an error there or in the span guard names flow i by names[i], such as
-    its file, or its index).  The exhaustive method errors if its
-    multiplier ** k space exceeds EXHAUSTIVE_CAP, and counts the
-    assignments a lexicographic enumeration would try up to the hit.
+    its file, or its index).
     """
     k = len(flows)
     offsets = attack_plan(method, cfg, k)
     m = len(offsets)
-    if method == "exhaustive" and (space := m**k) > EXHAUSTIVE_CAP:
-        raise SearchSpaceTooLarge(
-            f"{m}^{k} = {space} configurations exceed the cap {EXHAUSTIVE_CAP}"
-        )
     p = _mean_clear_probability(flows, cfg, names) if clear_prob is None else clear_prob
     try:
         lists = _window_lists(flows, cfg, offsets)
@@ -376,8 +366,7 @@ def mfa_varied_offset_exhaustive(
 
     The branch-and-bound search finds it; configurations_searched is what
     enumerating every assignment in that order would count up to it (all
-    multiplier ** k when absent).  Errors if that space exceeds
-    EXHAUSTIVE_CAP.
+    multiplier ** k when absent), at any k.
     """
     return attack("exhaustive", flows, cfg, clear_prob=clear_prob)
 
@@ -388,8 +377,8 @@ def mfa_varied_offset_bnb(
     """Branch-and-bound over the step-delta offset grid, flow by flow.
 
     Same verdicts and, when present, the same window and assignment as the
-    exhaustive method, with no cap on the search space and no recursion, so
-    any k that min_flows prescribes can be searched.
+    exhaustive method, with no recursion, so any k that min_flows prescribes
+    can be searched.
     """
     return attack("bnb", flows, cfg, clear_prob=clear_prob)
 

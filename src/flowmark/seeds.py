@@ -176,7 +176,7 @@ class _BlockSeed:
         self.rows = iter(words)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
             raise BadParameter(f"a block seed holds 4 uint64 words, not {n_words} {dtype}")
         return next(self.rows)
 

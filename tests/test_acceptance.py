@@ -30,7 +30,7 @@ from flowmark import (
     offset_multiplier,
 )
 from flowmark.cli import main
-from flowmark.mfa import _offset_grid
+from flowmark.mfa import attack_plan
 from flowmark.repro import monte_carlo_attack
 from search_oracle import enumerate_assignments
 
@@ -204,7 +204,8 @@ def test_criterion_09_branch_and_bound_matches_exhaustive():
             flows.append(flow)
         ex = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=0.3)
         bb = mfa_varied_offset_bnb(flows, cfg, clear_prob=0.3)
-        tried, window, assignment = enumerate_assignments(flows, cfg, _offset_grid(cfg))
+        offsets = attack_plan("exhaustive", cfg, k)
+        tried, window, assignment = enumerate_assignments(flows, cfg, offsets)
         hit = (window is not None, window, assignment)
         agree += (
             all((f.present, f.matched_window, f.offset_assignment) == hit for f in (ex, bb))

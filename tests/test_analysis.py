@@ -85,6 +85,11 @@ class TestFpBound:
         assert bound.raw > 1.0
         assert bound.clamped == 1.0
 
+    def test_clamps_past_the_float_range(self):
+        bound = fp_bound(1100, 1.0, 2)  # 2^1100 overflows a float
+        assert bound.raw == math.inf
+        assert bound.clamped == 1.0
+
     def test_no_clamp_below_one(self):
         bound = fp_bound(5, 0.276, 2)
         assert bound.clamped == bound.raw == pytest.approx(0.051250179244032024, rel=1e-12)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -26,7 +27,7 @@ from flowmark.cli import (
 from flowmark.config import SECTIONS, from_section, get, model_from_config, to_section
 from flowmark.errors import ConfigError
 from flowmark.flow_model import PoissonModel, clear_probability, generate_flow, read_flow, write_flow
-from flowmark.mfa import AttackConfig, _offset_grid, read_manifest
+from flowmark.mfa import AttackConfig, attack_plan, read_manifest
 from flowmark.watermark import WatermarkParams
 from search_oracle import enumerate_assignments
 
@@ -480,7 +481,7 @@ class TestAttackScenario:
     def test_methods_agree(self, tmp_path, marked_setup):
         acfg = from_section(AttackConfig, parse_config(ATTACK_SECTION), "attack")
         flows = [read_flow(path) for path in read_manifest(marked_setup)]
-        tried, window, assignment = enumerate_assignments(flows, acfg, _offset_grid(acfg))
+        tried, window, assignment = enumerate_assignments(flows, acfg, attack_plan("bnb", acfg, 3))
         assert window is not None
         for method in ("exhaustive", "bnb"):
             cfg = tmp_path / f"{method}.ini"
@@ -496,6 +497,56 @@ class TestAttackScenario:
             assert results["offset_assignment"] == ";".join(map(repr, assignment))
             searched = results["configurations_searched"]
             assert searched == tried if method == "exhaustive" else searched <= tried
+
+    def test_exhaustive_answers_at_the_papers_k(self, tmp_path):
+        # k = 20 flows at o_max = 0.9 s: 2^20 assignments, past the 10^6 that
+        # exhaustive was once capped at.
+        emb = tmp_path / "emb.ini"
+        emb.write_text("[flow]\nmodel = poisson\nrate = 3.0\n\n" + WATERMARK_SECTION)
+        marked = tmp_path / "marked"
+        assert run_cli("embed", "--config", emb, "--out", marked, "--seed", 7, "--trials", 20) == 0
+        results = {}
+        for method in ("bnb", "exhaustive"):
+            cfg = tmp_path / f"{method}.ini"
+            cfg.write_text(
+                ATTACK_SECTION
+                + f"\n[experiment]\nmanifest = {marked / 'manifest.txt'}\nmethod = {method}\n"
+            )
+            assert run_cli("attack", "--config", cfg, "--out", tmp_path / method) == EXIT_OK
+            results[method] = json.loads((tmp_path / method / "report.json").read_text())["results"]
+        fields = ("k", "present", "window_start", "window_length", "offset_assignment")
+        assert [results["exhaustive"][f] for f in fields] == [results["bnb"][f] for f in fields]
+        assert results["bnb"]["k"] == 20 and results["bnb"]["present"]
+        path = [round(float(o) / 0.45) for o in results["bnb"]["offset_assignment"].split(";")]
+        rank = sum(i * 2 ** (19 - d) for d, i in enumerate(path))
+        assert results["exhaustive"]["configurations_searched"] == rank + 1
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int print limit")
+    def test_a_count_too_long_to_print_is_a_one_line_failure(self, tmp_path, capsys):
+        # 10 offsets per flow and no clear window: exhaustive counts 10^k,
+        # which has k + 1 digits, so a limit of 640 prints k = 639 but not 640.
+        (tmp_path / "dense.txt").write_text("# duration=2.0\n" + "".join(f"{i / 10}\n" for i in range(1, 20)))
+        for k in (639, 640):
+            (tmp_path / f"{k}.txt").write_text("dense.txt\n" * k)
+            (tmp_path / f"{k}.ini").write_text(
+                ATTACK_SECTION.replace("o_max = 0.9", "o_max = 4.5")
+                + f"\n[experiment]\nmanifest = {k}.txt\nmethod = exhaustive\n"
+            )
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run_cli("attack", "--config", tmp_path / "639.ini", "--out", tmp_path / "o") == 0
+            capsys.readouterr()
+            rc = run_cli("attack", "--config", tmp_path / "640.ini", "--out", tmp_path / "p")
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "641-digit count" in err and "640" in err
+        results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
+        assert results["configurations_searched"] == 10**639
+        assert not (tmp_path / "p").exists()
 
     def test_delta_equal_to_interval_claims_nothing(self, tmp_path, marked_setup):
         cfg = tmp_path / "atk.ini"

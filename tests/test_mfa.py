@@ -28,7 +28,7 @@ from flowmark import (
 from flowmark import analysis
 from flowmark.analysis import ceil_snapped
 from flowmark.errors import BadParameter, FlowmarkError, SearchSpaceTooLarge
-from flowmark.mfa import _offset_grid, _window_lists, attack, attack_plan
+from flowmark.mfa import _window_lists, attack, attack_plan
 from flowmark.repro import monte_carlo_attack
 from search_oracle import assert_is_the_enumeration, enumerate_assignments
 
@@ -94,7 +94,7 @@ def attack_instances(draw):
     quantum = delta / draw(st.sampled_from([4, 8, 16]))
     o_max = delta * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 2.5]))
     cfg = AttackConfig(T=T, delta=delta, o_max=o_max, epsilon=1e-3, quantum=quantum)
-    shifts = _offset_grid(cfg)
+    shifts = attack_plan("bnb", cfg, 1)
     flows = []
     for _ in range(draw(st.integers(1, 4))):
         duration = draw(st.floats(quantum, 8 * T))
@@ -259,7 +259,7 @@ class TestGridWindowsMatchScalarReference:
         flows = [generate_flow(PoissonModel(60.0), 90.9, seed=1)] + [
             generate_flow(PoissonModel(20.0), 90.9, seed=seed) for seed in (2, 3, 4)
         ]
-        shifts = _offset_grid(REFERENCE_CFG)
+        shifts = attack_plan("bnb", REFERENCE_CFG, 4)
         assert _window_lists(flows, REFERENCE_CFG, shifts) == reference_window_lists(
             flows, REFERENCE_CFG, shifts
         )
@@ -370,20 +370,31 @@ class TestVariedOffset:
             assert_is_the_enumeration(finding, flows, cfg, [0.0], counted=True)
         assert varied.fp_bound_at_k == fixed.fp_bound_at_k
 
-    def test_search_space_cap(self):
-        from flowmark.mfa import EXHAUSTIVE_CAP
-
-        cfg = AttackConfig(T=0.9, delta=0.45, o_max=1.8, epsilon=1e-5)
-        flows = [Flow(timestamps=[1.0], duration=2.8) for _ in range(10)]
-        assert offset_multiplier(cfg.o_max, cfg.delta) ** 10 > EXHAUSTIVE_CAP
-        with pytest.raises(SearchSpaceTooLarge):
-            mfa_varied_offset_exhaustive(flows, cfg)
+    @pytest.mark.parametrize("present", [True, False])
+    def test_exhaustive_answers_at_the_papers_k(self, present):
+        # The paper's k = 20 at o_max = 0.9 s: 2 offsets per flow, 2^20 assignments.
+        assert attack_plan("exhaustive", REFERENCE_CFG, 20) == [0.0, 0.45]
+        path = [d % 3 == 1 for d in range(20)]
+        flows = [carved_flow(0.45 * i) for i in path]
+        if not present:  # the gap the others share is packed in the last flow
+            flows[-1] = Flow(np.arange(0.05, 3.6, 0.05), duration=3.6)
+        ex = mfa_varied_offset_exhaustive(flows, REFERENCE_CFG, clear_prob=0.276)
+        bb = mfa_varied_offset_bnb(flows, REFERENCE_CFG, clear_prob=0.276)
+        assert ex.present is bb.present is present
+        assert (ex.matched_window, ex.offset_assignment) == (bb.matched_window, bb.offset_assignment)
+        assert ex.fp_bound_at_k == bb.fp_bound_at_k
+        if present:
+            assert ex.offset_assignment == tuple(0.45 * i for i in path)
+            assert ex.configurations_searched == 1 + sum(i * 2 ** (19 - d) for d, i in enumerate(path))
+            assert_window_sound(ex, flows, REFERENCE_CFG)
+        else:
+            assert ex.configurations_searched == 2**20
 
     def test_offset_count_cap(self, monkeypatch):
-        grid = _offset_grid(AttackConfig(T=0.9, delta=0.45, o_max=4500.0, epsilon=1e-5))
+        grid = attack_plan("bnb", AttackConfig(T=0.9, delta=0.45, o_max=4500.0, epsilon=1e-5), 1)
         assert len(grid) == analysis.MAX_OFFSETS == 10**4
         with pytest.raises(SearchSpaceTooLarge, match="10001 offsets per flow exceed the cap of 10000"):
-            _offset_grid(AttackConfig(T=0.9, delta=0.45, o_max=4500.45, epsilon=1e-5))
+            attack_plan("bnb", AttackConfig(T=0.9, delta=0.45, o_max=4500.45, epsilon=1e-5), 1)
         # Under a cap of 4, o_max = 1.8 s gives 4 offsets 0.45 s apart; 2.25 s gives 5.
         monkeypatch.setattr(analysis, "MAX_OFFSETS", 4)
         flows = [carved_flow(0.0), carved_flow(0.45)]
@@ -462,7 +473,7 @@ class TestBranchAndBoundAgreesWithExhaustive:
 
         ex = mfa_varied_offset_exhaustive(flows, cfg, clear_prob=0.3)
         bb = mfa_varied_offset_bnb(flows, cfg, clear_prob=0.3)
-        offsets = _offset_grid(cfg)
+        offsets = attack_plan("exhaustive", cfg, k)
         assert_is_the_enumeration(ex, flows, cfg, offsets, counted=True)
         assert_is_the_enumeration(bb, flows, cfg, offsets, counted=False)
         assert bb.fp_bound_at_k == ex.fp_bound_at_k

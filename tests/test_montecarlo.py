@@ -35,10 +35,8 @@ from flowmark import (
 from flowmark import flow_model, repro
 from flowmark.flow_model import draw_width, generate_block
 from flowmark.mfa import (
-    EXHAUSTIVE_CAP,
     _bnb,
     _min_units,
-    _offset_grid,
     _window_lists,
     attack_plan,
     common_starts,
@@ -403,7 +401,7 @@ class TestBlockVerdictsMatchListSearches:
         cfg = AttackConfig(T=0.9, delta=0.45, o_max=1.8, epsilon=1e-5)
         assert 0.9 < -8 * cfg.quantum + 1.35 <= np.nextafter(np.nextafter(0.9, 1.0), 1.0)
         seeds = [derive_seed(0, "grown", i) for i in range(40)]
-        shifts = _offset_grid(cfg)
+        shifts = attack_plan("bnb", cfg, k)
         with injected({seeds[0]: "end"}, 0.9):
             edges = generate_block(MODEL, 0.9, seeds)
             flows = [reference_generate_flow(MODEL, 0.9, seed) for seed in seeds]
@@ -423,7 +421,7 @@ class TestBlockVerdictsMatchListSearches:
         seeds = [derive_seed(3, "cap", i) for i in range(count)]
         edges = generate_block(MODEL, duration, seeds)
         flows = [reference_generate_flow(MODEL, duration, seed) for seed in seeds]
-        shifts = _offset_grid(CFG)
+        shifts = attack_plan("bnb", CFG, 10)
         for k in (1, 5, 10):
             verdicts = block_verdicts(edges, CFG, shifts, k).tolist()
             assert verdicts == list_verdicts(flows, CFG, shifts, k)
@@ -572,10 +570,10 @@ class TestDriverMatchesPerTrialLoop:
         with injected(modes, 0.9):
             assert monte_carlo_attack(*args) == reference_monte_carlo(*args)
 
-    def test_exhaustive_space_past_the_cap_matches_bnb(self):
-        # 2 offsets per flow: 2**20 = 1,048,576 configurations, past the cap
-        # of the list search, which the Monte Carlo verdicts never enumerate.
-        assert len(_offset_grid(CFG)) ** 20 > EXHAUSTIVE_CAP >= len(_offset_grid(CFG)) ** 19
+    def test_exhaustive_at_the_papers_k_matches_bnb(self):
+        # 2 offsets per flow: 2**20 = 1,048,576 configurations, which the
+        # Monte Carlo verdicts never enumerate.
+        assert len(attack_plan("exhaustive", CFG, 20)) == 2
         sparse = PoissonModel(poisson_rate_for_clear_probability(0.9, CFG.min_length))
         mc = monte_carlo_attack("exhaustive", CFG, sparse, 0.9, 20, 40, 0, 0.9)
         assert mc == monte_carlo_attack("bnb", CFG, sparse, 0.9, 20, 40, 0, 0.9)
