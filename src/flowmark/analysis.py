@@ -83,8 +83,8 @@ def fp_bound(k: int, p: float, multiplier: int = 1) -> FpBound:
     base = multiplier * p
     try:
         raw = math.exp(k * math.log(base)) if base else 0.0
-    except OverflowError:  # base > 1 at large k: past the float range
-        raw = math.inf
+    except OverflowError:  # base > 1 at large k, or an integer k past the float range
+        raw = 0.0 if base < 1.0 else 1.0 if base == 1.0 else math.inf
     return FpBound(raw=raw, clamped=min(raw, 1.0))
 
 

@@ -97,10 +97,10 @@ def _require_seed(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve_trials(args: argparse.Namespace, cfg: ConfigDict, what: str = "trials") -> int:
+def _resolve_trials(args: argparse.Namespace, cfg: ConfigDict, what="trials", default=None) -> int:
     trials = args.trials
     if trials is None:
-        trials = get(cfg, "experiment", "trials", None)
+        trials = get(cfg, "experiment", "trials", default)
     if trials is None:
         raise ConfigError(f"no {what} given; pass --trials or set [experiment] trials")
     if trials <= 0:
@@ -197,15 +197,9 @@ def _scenario_generate(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
 def _scenario_embed(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     model = _poisson_model(cfg)
     params = from_section(WatermarkParams, cfg, "watermark")
-    try:
-        sweep_end = params.o_max + params.n * params.T
-    except OverflowError:  # an integer n past the float range
-        sweep_end = math.inf
-    if sweep_end == math.inf:
-        raise ConfigError("[watermark] window end o_max + n * T is not a finite number")
     # Default duration covers the detector sweep, not just the embedder.
-    duration = _flow_duration(cfg, sweep_end)
-    window_end = params.o + params.n * params.T  # at most sweep_end, as o <= o_max
+    duration = _flow_duration(cfg, params.o_max + params.n * params.T)
+    window_end = params.o + params.n * params.T
     if duration < window_end:
         raise ConfigError(
             f"[flow] duration {duration!r} is shorter than the watermark window end {window_end!r}"
@@ -308,58 +302,47 @@ def _scenario_bounds(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
         raise ConfigError("bounds needs a [flow] section to derive the clear probability")
     model = model_from_config(cfg)
 
-    def prob_at(T: float, delta: float) -> float:
+    def at(p: Optional[float] = None, **swept: float) -> tuple[float, FeasibilityVerdict]:
+        """Clear probability p and the min_flows verdict at [attack] with the swept
+        fields replaced; p follows the window T - delta unless it is the one swept."""
+        try:  # the row's [attack] values; bounds reads no quantum
+            point = dataclasses.replace(acfg, quantum=None, **swept)
+        except FlowmarkError as exc:
+            raise ConfigError(f"bad [attack] section: {exc}") from exc
         try:
-            return clear_probability(model, T - delta)
+            p = clear_probability(model, point.min_length) if p is None else p
         except FlowmarkError as exc:
             raise ConfigError(f"cannot evaluate clear probability: {exc}") from exc
-
-    def verdict_at(point: dict) -> FeasibilityVerdict:
         try:
-            return min_flows(point["epsilon"], point["o_max"], point["delta"], point["p"])
+            return p, min_flows(point.epsilon, point.o_max, point.delta, p)
         except FlowmarkError as exc:
             raise ConfigError(str(exc)) from exc
 
-    fixed = {
-        "T": acfg.T, "delta": acfg.delta, "o_max": acfg.o_max, "epsilon": acfg.epsilon,
-        "p": prob_at(acfg.T, acfg.delta),
-    }
+    p, verdict = at()
+    parameters = {"attack": to_section(acfg), "flow": model_to_section(model)}
     if "sweep" in cfg:
         param = get(cfg, "sweep", "param")
         values = get(cfg, "sweep", "values")
         if param not in _SWEEPABLE:
             raise ConfigError(f"cannot sweep {param!r}; choose one of {_SWEEPABLE}")
-        sweep_echo = {"param": param, "values": ",".join(repr(v) for v in values)}
+        parameters["sweep"] = {"param": param, "values": ",".join(repr(v) for v in values)}
     else:
         param, values = "o_max", [acfg.o_max]
-        sweep_echo = None
 
     rows = []
     for value in values:
-        point = fixed | {param: value}
-        try:  # the row's [attack] values; bounds reads no quantum
-            dataclasses.replace(acfg, quantum=None, **{f: v for f, v in point.items() if f != "p"})
-        except FlowmarkError as exc:
-            raise ConfigError(f"bad [attack] section: {exc}") from exc
-        if param != "p":
-            # p follows the window T - delta unless p itself is swept.
-            point["p"] = prob_at(point["T"], point["delta"])
-        verdict = verdict_at(point)
+        _, row = at(**{param: value})
         rows.append({
             "swept_value": value,
-            "multiplier": verdict.multiplier,
-            "base": verdict.base,
-            "min_k": "inf" if verdict.min_k is None else verdict.min_k,
-            "fp_bound_at_min_k": verdict.fp_bound_at_min_k,
+            "multiplier": row.multiplier,
+            "base": row.base,
+            "min_k": "inf" if row.min_k is None else row.min_k,
+            "fp_bound_at_min_k": row.fp_bound_at_min_k,
         })
 
-    verdict = verdict_at(fixed)
-    results = {"clear_prob": fixed["p"], **dataclasses.asdict(verdict)}
+    results = {"clear_prob": p, **dataclasses.asdict(verdict)}
     if math.isinf(verdict.threshold_o_max):
         results["threshold_o_max"] = None  # JSON has no infinity
-    parameters = {"attack": to_section(acfg), "flow": model_to_section(model)}
-    if sweep_echo is not None:
-        parameters["sweep"] = sweep_echo
     k_text = "unreachable" if verdict.min_k is None else str(verdict.min_k)
     summary = f"bounds: base {verdict.base:.4g}, min flows {k_text}"
     return Outcome(args.seed, parameters, results, rows, summary)
@@ -426,9 +409,7 @@ def _scenario_montecarlo(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
 
 def _scenario_paper_repro(cfg: ConfigDict, args: argparse.Namespace) -> Outcome:
     seed = REPRO_DEFAULT_SEED if args.seed is None else _require_seed(args)
-    trials = REPRO_DEFAULT_TRIALS if args.trials is None else args.trials
-    if trials <= 0:
-        raise ConfigError(f"trials must be positive, got {trials}")
+    trials = _resolve_trials(args, cfg, default=REPRO_DEFAULT_TRIALS)
     mc_case, stats = monte_carlo_case(seed=seed, trials=trials)
     cases = closed_form_cases() + [mc_case]
     rows = [

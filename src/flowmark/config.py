@@ -21,39 +21,37 @@ from .flow_model import EmpiricalModel, FlowModel, PoissonModel
 ConfigDict = dict[str, dict[str, str]]
 
 
+def _comma_list(raw: str, read: Callable[[str], object], bad: str, empty: str) -> list:
+    """The comma-separated items of raw, blanks skipped, each read by read.
+    bad (its {} naming the item) is the error for an item read rejects, and
+    empty the error for a list with no item."""
+    values = []
+    for item in filter(None, map(str.strip, raw.split(","))):
+        try:
+            values.append(read(item))
+        except ValueError:
+            raise ConfigError(bad.format(repr(item))) from None
+    if not values:
+        raise ConfigError(empty)
+    return values
+
+
+def _table_point(item: str) -> tuple[float, float]:
+    t_text, p_text = item.split(":")
+    return float(t_text), float(p_text)
+
+
 def parse_table(raw: str) -> tuple[tuple[float, float], ...]:
     """Parse 't:p, t:p, ...' into interpolation-table points."""
-    points = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            t_text, p_text = item.split(":")
-            points.append((float(t_text), float(p_text)))
-        except ValueError:
-            raise ConfigError(
-                f"bad table entry {item!r}; expected '<seconds>:<probability>'"
-            ) from None
-    if not points:
-        raise ConfigError("empirical table must contain at least one point")
-    return tuple(points)
+    return tuple(_comma_list(
+        raw, _table_point, "bad table entry {}; expected '<seconds>:<probability>'",
+        "empirical table must contain at least one point",
+    ))
 
 
 def parse_sweep_values(raw: str) -> list[float]:
     """Parse the comma-separated numbers of [sweep] values."""
-    values = []
-    for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            values.append(float(item))
-        except ValueError:
-            raise ConfigError(f"bad sweep value {item!r}") from None
-    if not values:
-        raise ConfigError("[sweep] values is empty")
-    return values
+    return _comma_list(raw, float, "bad sweep value {}", "[sweep] values is empty")
 
 
 def render_table(table: tuple[tuple[float, float], ...]) -> str:

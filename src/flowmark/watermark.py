@@ -11,6 +11,7 @@ of each interval rather than the full interval.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -60,8 +61,19 @@ class WatermarkParams:
             raise BadParameter(
                 f"clear_fraction must be in (0, 1), got {self.clear_fraction}"
             )
+        try:
+            end = self.o_max + self.n * self.T
+        except OverflowError:  # an integer n past the float range
+            end = math.inf
+        if not math.isfinite(end):
+            raise BadParameter("window end o_max + n * T is not a finite number")
 
     def pattern(self) -> "ClearPattern":
+        return self._pattern
+
+    @functools.cached_property
+    def _pattern(self) -> "ClearPattern":
+        # Derived once per instance: the frozen fields fix it, and it costs O(n).
         return derive_pattern(self.key, self.n, self.clear_fraction)
 
 

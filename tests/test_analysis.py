@@ -90,6 +90,11 @@ class TestFpBound:
         assert bound.raw == math.inf
         assert bound.clamped == 1.0
 
+    @pytest.mark.parametrize("p, raw", [(0.276, 0.0), (0.5, 1.0), (0.9, math.inf)])
+    def test_integer_k_past_the_float_range(self, p, raw):
+        bound = fp_bound(10**400, p, 2)  # base 0.552, 1.0 and 1.8
+        assert bound == (raw, min(raw, 1.0))
+
     def test_no_clamp_below_one(self):
         bound = fp_bound(5, 0.276, 2)
         assert bound.clamped == bound.raw == pytest.approx(0.051250179244032024, rel=1e-12)

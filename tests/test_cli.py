@@ -142,6 +142,8 @@ class TestParseConfig:
             ("flow", "table", " , ", "empirical table must contain at least one point"),
             ("sweep", "values", "0.45, nine", "bad sweep value 'nine'"),
             ("sweep", "values", ",", r"\[sweep\] values is empty"),
+            ("flow", "table", "0.1:0.5, 1:2:3",
+             "bad table entry '1:2:3'; expected '<seconds>:<probability>'"),
         ],
     )
     def test_bad_list_values_are_config_errors(self, section, key, value, message):
@@ -401,7 +403,8 @@ class TestEmbedScenario:
         rc = run_cli("embed", "--config", cfg, "--out", out, "--seed", "5", "--trials", "1")
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "config error: [watermark] window end o_max + n * T is not a finite number\n"
+            "config error: bad [watermark] section: "
+            "window end o_max + n * T is not a finite number\n"
         )
         assert not out.exists()
 
@@ -460,6 +463,19 @@ class TestDetectScenario:
         assert rc == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["detected"] < 3
+
+    def test_window_end_past_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        write_flow(generate_flow(PoissonModel(3.0), 20.0, 1), tmp_path / "a.txt")
+        (tmp_path / "manifest.txt").write_text("a.txt\n")
+        section = WATERMARK_SECTION.replace("n = 20", f"n = {10**400}")
+        cfg = tmp_path / "det.ini"
+        cfg.write_text(section + "\n[experiment]\nmanifest = manifest.txt\n")
+        rc = run_cli("detect", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: bad [watermark] section: "
+            "window end o_max + n * T is not a finite number\n"
+        )
 
 
 class TestAttackScenario:
@@ -752,6 +768,17 @@ class TestBoundsScenario:
         rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: bad [attack] section: {message}\n"
+
+    def test_swept_probability_outside_the_unit_interval_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            "[flow]\nmodel = poisson\nrate = 3.0\n\n"
+            + ATTACK_SECTION
+            + "\n[sweep]\nparam = p\nvalues = 0.2, 1.5\n"
+        )
+        rc = run_cli("bounds", "--config", cfg, "--out", tmp_path / "o")
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: p must be in [0, 1], got 1.5\n"
 
     def test_table_below_its_first_point_is_config_error(self, tmp_path, capsys):
         # T - delta = 0.05 s lies below the reference table's first window, 0.175 s.

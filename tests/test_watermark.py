@@ -24,7 +24,7 @@ from flowmark import (
     wilson_interval,
 )
 from flowmark.errors import BadParameter, FlowmarkError, FlowTooShort, SearchSpaceTooLarge
-from flowmark import analysis
+from flowmark import analysis, watermark
 
 # Keys found by scanning upward from zero for specific small patterns;
 # frozen so the golden embeddings below stay readable.
@@ -189,6 +189,16 @@ def detect_cases(draw):
 
 
 class TestEmbed:
+    def test_derives_the_pattern_once_per_params(self, monkeypatch):
+        calls = []
+        spy = lambda *args: calls.append(args) or derive_pattern(*args)  # noqa: E731
+        monkeypatch.setattr(watermark, "derive_pattern", spy)
+        params = reference_params()
+        flow = generate_flow(PoissonModel(3.0), 20.0, 1)
+        for _ in range(20):
+            embed(flow, params)
+        assert calls == [(params.key, params.n, params.clear_fraction)]
+
     @settings(max_examples=300)
     @given(case=embed_cases())
     def test_matches_per_packet_loop(self, case):
@@ -443,6 +453,7 @@ BAD_PARAMETERS = {
     "params delta": lambda: reference_params(delta=1.0),
     "params n": lambda: reference_params(n=0),
     "params clear_fraction": lambda: reference_params(clear_fraction=1.0),
+    "params window end": lambda: reference_params(n=10**400),
     "pattern n": lambda: ClearPattern(n=0, cleared={0}),
     "pattern empty": lambda: ClearPattern(n=2, cleared=set()),
     "pattern index": lambda: ClearPattern(n=2, cleared={2}),
